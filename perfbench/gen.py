@@ -39,6 +39,13 @@ HAND_SPLIT = (11, 10)
 CROP_H, CROP_W = 256, 192
 PNG_MAGIC = b"\x89PNG\r\n\x1a\n"
 FILTER_NAMES = ("none", "sub", "up", "avg", "paeth")
+# Vertical ramp, horizontal ramp, photographic texture, scanline stripes.
+BAND_STYLE_WEIGHTS = (0.25, 0.1, 0.45, 0.2)
+# The row filter mix a crop set must have. Paeth is the filter real encoders
+# pick most often on photographs, so it must be the most common one here,
+# and every other filter the decoder unfilters in its own loop must occur.
+# This is a stated target: it has not been measured on real person crops.
+PNG_FILTER_TARGET = {"paeth": 0.4, "up": 0.02, "avg": 0.02, "sub": 0.02}
 
 
 def _rng(seed: int, purpose: int) -> np.random.Generator:
@@ -270,9 +277,14 @@ _LIMBS = (
 
 
 def _background(rng: np.random.Generator) -> np.ndarray:
-    """A scene of horizontal bands: a vertical ramp, a horizontal ramp, a
-    photographic texture or scanline stripes, so that each PNG filter wins
-    on some rows."""
+    """A scene of horizontal bands, each a vertical ramp, a horizontal ramp,
+    a smooth photographic texture or scanline stripes.
+
+    The texture is the common band and the only one on which Paeth wins, so
+    the style weights set the row filter mix: they were chosen to meet
+    PNG_FILTER_TARGET (about 60% Paeth, 20% Up, 5-10% each of Sub and Avg
+    over a crop set).
+    """
     img = np.zeros((CROP_H, CROP_W, 3), dtype=np.float64)
     yy, xx = np.mgrid[0:CROP_H, 0:CROP_W].astype(np.float64)
     cuts = np.sort(rng.choice(np.arange(24, CROP_H - 24), size=3, replace=False))
@@ -280,17 +292,17 @@ def _background(rng: np.random.Generator) -> np.ndarray:
     for lo, hi in zip(edges[:-1], edges[1:]):
         band = np.broadcast_to(rng.uniform(30, 220, size=3), (hi - lo, CROP_W, 3)).copy()
         y, x = yy[lo:hi, :, None], xx[lo:hi, :, None]
-        style = rng.choice(4, p=[0.15, 0.15, 0.5, 0.2])
+        style = rng.choice(4, p=BAND_STYLE_WEIGHTS)
         if style == 0:
             band += (y - lo) * rng.choice([-1, 1]) * rng.uniform(1, 2.5, size=3) * 100 / (hi - lo)
         elif style == 1:
             band += x * rng.uniform(-0.5, 0.5, size=3)
         elif style == 2:
             for _ in range(3):
-                angle, freq = rng.uniform(0, np.pi), rng.uniform(0.02, 0.12)
+                angle, freq = rng.uniform(0, np.pi), rng.uniform(0.05, 0.2)
                 phase = freq * (x * np.cos(angle) + y * np.sin(angle)) + rng.uniform(0, 2 * np.pi)
-                band += rng.uniform(8, 25) * np.sin(phase)
-            band += rng.normal(0, rng.uniform(1, 4), size=band.shape)
+                band += rng.uniform(30, 60) * np.sin(phase)
+            band += rng.normal(0, rng.uniform(0, 5), size=band.shape)  # grain; Avg wins where it is strong
         else:
             band += rng.normal(0, 25, size=(hi - lo, 1, 3)) + x * rng.uniform(-0.4, 0.4, size=3)
         img[lo:hi] = band
@@ -314,7 +326,7 @@ def person_crop(rng: np.random.Generator):
         img[dist < rng.uniform(5, 9)] = cloth + rng.normal(0, 3, size=3)
     head = np.hypot(xx - pose[0, 0], yy - pose[0, 1]) < 16
     img[head] = rng.uniform(120, 220, size=3)
-    img += rng.normal(0, rng.uniform(1.5, 3.5), size=img.shape)  # sensor noise
+    img += rng.normal(0, rng.uniform(0.3, 1.0), size=img.shape)  # sensor noise left after JPEG and resizing
     image = np.clip(np.rint(img), 0, 255).astype(np.uint8)
     vis = np.where(rng.random(n) < 0.15, 0, 2)
     keypoints = [(float(x), float(y), int(v)) for (x, y), v in zip(np.round(pose, 2), vis)]
@@ -326,7 +338,8 @@ def write_crops(directory: Path, seed: int, count: int):
     crop is a PPM, the rest are PNG.
 
     Returns a list of (file name, pixels, annotation path) and the histogram of
-    PNG row filters over all PNG crops.
+    PNG row filters over all PNG crops; raises ValueError if that histogram
+    misses PNG_FILTER_TARGET.
     """
     rng = _rng(seed, 2)
     images = directory / "images"
@@ -355,4 +368,9 @@ def write_crops(directory: Path, seed: int, count: int):
         ann = annotations / f"crop{k:03d}.json"
         ann.write_text(json.dumps(doc))
         crops.append((name, image, ann))
+    rows = sum(histogram.values())
+    if max(histogram, key=histogram.get) != "paeth" or any(
+        histogram[kind] < share * rows for kind, share in PNG_FILTER_TARGET.items()
+    ):
+        raise ValueError(f"PNG row filters {histogram} miss the target {PNG_FILTER_TARGET}")
     return crops, histogram

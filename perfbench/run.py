@@ -12,9 +12,9 @@ timed region.
 Times are "reference" seconds: the CPU time of this process plus its oracle
 child, rescaled by the host speed measured during and right after each op
 (proc.py), so that other tenants of a shared host do not move them. The
-process and its children share one CPU. Wall-clock
-percentiles are printed alongside. --trace 0 prints the end-to-end metrics:
-  setup_s        median over 5 fresh processes of the reference seconds from
+process and its children share one CPU. The wall-clock
+p50 is printed alongside. --trace 0 prints the end-to-end metrics:
+  setup_s        median over 11 fresh processes of the reference seconds from
                  process start until the first op could be issued;
   op_ref_p50_ms  median reference time of one op, a failed op counting as
                  infinite;
@@ -56,7 +56,7 @@ NEEDED = (
     ROOT / "fixtures" / "synthetic17.json",
     ROOT / "fixtures" / "expected_groups.json",
 )
-SETUP_PROBES = 5
+SETUP_PROBES = 11
 
 
 def parse_args(argv=None):
@@ -80,9 +80,14 @@ def clean_env() -> None:
 
 def setup_seconds(name: str, work: Path, seed: int) -> tuple[float, float]:
     """Medians over fresh interpreters of (reference, wall) seconds from
-    process start until the workload is set up; each probe then tears down."""
+    process start until the workload is set up; each probe then tears down.
+
+    A probe lives for a fraction of a second, too short to sample the host
+    speed well by itself, so its own calibration slices are pooled with two
+    that this process runs just before it and two just after."""
     ref, wall = [], []
     for _ in range(SETUP_PROBES):
+        before = [proc.calibrate(), proc.calibrate()]
         t0 = perf_counter()
         probe = subprocess.Popen(
             [sys.executable, str(BENCH / "setup_probe.py"), name, str(work), str(seed)],
@@ -93,9 +98,10 @@ def setup_seconds(name: str, work: Path, seed: int) -> tuple[float, float]:
         probe.stdin.close()
         rc = probe.wait(timeout=60)
         probe.stdout.close()
-        if rc != 0 or len(line) != 3 or line[0] != b"ready":
+        if rc != 0 or len(line) < 3 or line[0] != b"ready":
             raise RuntimeError(f"setup probe for {name} failed (exit {rc}, said {line!r})")
-        ref.append(float(line[1]) * proc.CALIBRATION_REF_S / float(line[2]))
+        samples = [*before, *map(float, line[2:]), proc.calibrate(), proc.calibrate()]
+        ref.append(float(line[1]) * proc.CALIBRATION_REF_S / statistics.fmean(samples))
     return statistics.median(ref), statistics.median(wall)
 
 
@@ -122,17 +128,6 @@ class Phase:
 
     def ops_per_ref_s(self) -> float:
         return (self.attempted - self.failed) / self.spent_ref
-
-    def wall_percentiles_ms(self) -> dict:
-        """Wall-clock p50, and p90 and p99 where at least ten samples lie beyond."""
-        n = len(self.wall)
-        ranked = sorted(self.wall)
-        out = {}
-        for q in (50, 90, 99):
-            rank = max(math.ceil(n * q / 100), 1)
-            if q == 50 or n - rank >= 10:
-                out[f"p{q}"] = ranked[rank - 1] * 1e3
-        return out
 
 
 def run_phase(wl, seconds: float, tracer=None) -> Phase:
@@ -203,12 +198,19 @@ def run_phase(wl, seconds: float, tracer=None) -> Phase:
 
 
 def open_run(cls, work, seed, prepared, seconds, tracer=None):
-    """Set up, run and tear down one workload instance."""
+    """Set up, run, tear down and check one workload instance."""
+    from workloads import CheckFailed
+
     wl = cls(work, seed, prepared, tracer)
     try:
         phase = run_phase(wl, seconds, tracer)
     finally:
         side = wl.close()
+    try:
+        wl.check_close(side)
+    except CheckFailed as e:
+        print(f"check failed after the run: {e}", file=sys.stderr)
+        phase.correct = False
     return phase, side
 
 
@@ -264,7 +266,7 @@ def main(argv=None) -> int:
                 "peak_rss_mb": metric(rss_kb / 1024, "MB"),
             }
             info["setup_wall_s"] = setup_wall
-            info["op_wall_ms"] = phase.wall_percentiles_ms()
+            info["op_wall_p50_ms"] = statistics.median(phase.wall) * 1e3
         else:
             plain, _ = open_run(cls, work, ns.seed, prepared, ns.seconds / 2)
             tracer = spans.Tracer()
@@ -274,7 +276,6 @@ def main(argv=None) -> int:
             overhead = (traced.ref_p50_ms() / plain.ref_p50_ms() - 1) * 100
             scale = proc.CALIBRATION_REF_S / statistics.median(traced.speed)
             metrics = spans.layer_metrics(tracer, traced.attempted, wire or None, overhead, scale)
-            print("\n".join(spans.span_table(tracer, traced.attempted)), file=sys.stderr)
             tracer.write_csv(WORK_ROOT / f"spans-{ns.workload}.csv")
         info["host_calibration_ms"] = statistics.median(s for p in phases for s in p.speed) * 1e3
         info["ops"] = sum(p.attempted for p in phases)

@@ -17,7 +17,7 @@ import resource
 import sys
 from time import perf_counter
 
-from kpshap.oracle import SyntheticModelConfig, SyntheticOracle, serve
+from kpshap.oracle import CountingOracle, SyntheticModelConfig, SyntheticOracle, serve
 from kpshap.skeleton import default_schema
 
 
@@ -61,21 +61,13 @@ class CountingOut:
         self.stream.flush()
 
 
-class CountingOracle(SyntheticOracle):
-    rows = 0
-
-    def eval(self, instances, coalition, trial=0):
-        self.rows += 1
-        return super().eval(instances, coalition, trial)
-
-
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--config", required=True)
     ap.add_argument("--stats", required=True)
     ns = ap.parse_args()
     schema, _ = default_schema()
-    model = CountingOracle(SyntheticModelConfig.from_json(ns.config), schema)
+    model = CountingOracle(SyntheticOracle(SyntheticModelConfig.from_json(ns.config), schema))
     reader = CountingIn(sys.stdin.buffer)
     writer = CountingOut(sys.stdout.buffer, reader)
     serve(model, reader, writer)
@@ -84,7 +76,7 @@ def main() -> int:
         "bytes_in": reader.bytes,
         "bytes_out": writer.bytes,
         "hello_bytes": writer.hello_bytes,
-        "rows": model.rows,
+        "rows": model.calls,
         "busy_s": writer.busy,
         "maxrss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
     }

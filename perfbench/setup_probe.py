@@ -2,11 +2,11 @@
 
     python3 perfbench/setup_probe.py WORKLOAD WORK_DIR SEED
 
-Prints "ready CPU SPEED" once the first op could be issued: the CPU seconds
-this process and its children have used since the process started, and the
-host speed sampled while setting up and right after (proc.host_speed). The
-inputs in WORK_DIR must already be prepared; the caller puts the
-checkout's src/ on PYTHONPATH.
+Prints "ready CPU SLICE..." once the first op could be issued: the CPU
+seconds this process and its children have used since the process started,
+then the CPU seconds of each calibration slice (proc.calibrate) run while
+setting up and right after. The inputs in WORK_DIR must already be
+prepared; the caller puts the checkout's src/ on PYTHONPATH.
 """
 
 import sys
@@ -21,6 +21,7 @@ with sampler:
     name, work, seed = sys.argv[1], Path(sys.argv[2]), int(sys.argv[3])
     workload = WORKLOADS[name](work, seed, {})
     cpu = proc.cpu_seconds(proc.child_pids()) - sum(sampler.samples)
-print(f"ready {cpu!r} {proc.host_speed(sampler.samples)!r}", flush=True)
+speed = [*sampler.samples, proc.calibrate(), proc.calibrate()]
+print("ready", repr(cpu), *map(repr, speed), flush=True)
 sys.stdin.read()
 workload.close()

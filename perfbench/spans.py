@@ -336,19 +336,3 @@ def layer_metrics(tracer: Tracer, ops: int, wire: dict | None, overhead_pct: flo
     put("trace.overhead_pct", overhead_pct, "%")
     return {k: {"value": v if math.isfinite(v) else None, "unit": u} for k, (v, u) in m.items()}
 
-
-def span_table(tracer: Tracer, ops: int) -> list[str]:
-    """Human-readable per-name totals, slowest first."""
-    agg: dict[str, list] = defaultdict(lambda: [0, 0.0, 0.0])
-    for name, op, dur, self_time in tracer.durations():
-        if op < 0:
-            continue
-        row = agg[name]
-        row[0] += 1
-        row[1] += dur
-        row[2] += self_time
-    per = 1.0 / max(ops, 1)
-    lines = [f"{'span':40s} {'calls/op':>10s} {'wall ms/op':>11s} {'self ms/op':>11s}"]
-    for name, (n, total, self_time) in sorted(agg.items(), key=lambda kv: -kv[1][1]):
-        lines.append(f"{name:40s} {n * per:10.1f} {total * per * 1e3:11.3f} {self_time * per * 1e3:11.3f}")
-    return lines

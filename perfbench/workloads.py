@@ -6,7 +6,13 @@ Each workload has three parts:
 - the constructor is the user-facing set-up: importing, loading inputs and,
   on coco17-wire, spawning the oracle child and completing its handshake;
 - `op(i)` is one timed operation, and `check(i, result)` verifies its output
-  outside the timed region, raising `CheckFailed` on a wrong answer.
+  outside the timed region, raising `CheckFailed` on a wrong answer;
+- `close()` tears down and `check_close(side)` verifies what the run as a
+  whole left behind.
+
+On the attribution workloads every oracle call goes through a
+`kpshap.oracle.CountingOracle`, so the calls an op makes are counted where
+the predictor is called, not derived from the program's own budget.
 
 kpshap functions are always reached through their module attributes, so the
 traced run sees every call.
@@ -32,6 +38,7 @@ BENCH = Path(__file__).resolve().parent
 ROOT = BENCH.parent
 FIXTURES = ROOT / "fixtures"
 CROPS = 32
+TRIALS = 2  # delta_perf_matrix m
 
 
 class CheckFailed(Exception):
@@ -45,18 +52,33 @@ class Attribution:
     report: shapley.AttributionReport
     budget: shapley.QueryBudget
     text: str
+    delta_calls: int
+    shapley_calls: int
     svg: str | None = None
 
 
-def attribution_op(model, kc, groups, g: int, seed: int) -> Attribution:
+def attribution_op(model, counter: oracle.CountingOracle, kc, groups, g: int, seed: int) -> Attribution:
     """interdep sweep (m=2) -> influence -> interdependency -> cluster, then
-    coarse-to-fine Shapley on the given grouping, serialized as the CLI does."""
-    delta = perturb.delta_perf_matrix(model, m=2, seed=seed)
+    coarse-to-fine Shapley on the given grouping, serialized as the CLI does.
+    `counter` is the CountingOracle that `model`'s calls pass through."""
+    c0 = counter.calls
+    delta = perturb.delta_perf_matrix(model, m=TRIALS, seed=seed)
+    c1 = counter.calls
     s = grouping.interdependency(perturb.perturbation_influence(delta), kc)
     clustered = grouping.cluster(s, g=g)
     report, budget = shapley.run_group_attribution(model, groups, trial=seed)
+    c2 = counter.calls
     text = json.dumps(report.to_json_dict(), sort_keys=True, indent=2) + "\n"
-    return Attribution(delta, clustered, report, budget, text)
+    return Attribution(delta, clustered, report, budget, text, c1 - c0, c2 - c1)
+
+
+def check_calls(got: Attribution, groups, n: int) -> None:
+    """The sweep scores the full set and each keypoint hidden, once per
+    trial; Shapley makes exactly the calls query_count prices."""
+    want = shapley.query_count(groups).oracle_calls
+    _expect(got.delta_calls == TRIALS * (n + 1), f"delta_perf_matrix made {got.delta_calls} oracle calls, expected {TRIALS * (n + 1)}")
+    _expect(got.shapley_calls == want, f"run_group_attribution made {got.shapley_calls} oracle calls, query_count says {want}")
+    _expect(got.budget.oracle_calls == want, f"{got.budget} does not match query_count ({want} calls)")
 
 
 def _op_seed(seed: int, i: int) -> int:
@@ -93,23 +115,33 @@ class Coco17Wire:
         ]
         with tracer.span("oracle.spawn") if tracer else contextlib.nullcontext():
             self.remote = oracle.ExternalOracle(command, self.schema)
-        self.model = TracedOracle(self.remote, tracer) if tracer else self.remote
+        self.counter = oracle.CountingOracle(self.remote)
+        self.model = TracedOracle(self.counter, tracer) if tracer else self.counter
+        self.replay = oracle.CountingOracle(self.local)
 
     def op(self, i: int) -> Attribution:
-        return attribution_op(self.model, self.kc, self.groups, 5, _op_seed(self.seed, i))
+        return attribution_op(self.model, self.counter, self.kc, self.groups, 5, _op_seed(self.seed, i))
 
     def check(self, i: int, got: Attribution) -> None:
-        want = attribution_op(self.local, self.kc, self.groups, 5, _op_seed(self.seed, i))
+        check_calls(got, self.groups, self.schema.n)
+        want = attribution_op(self.replay, self.replay, self.kc, self.groups, 5, _op_seed(self.seed, i))
         _expect(np.array_equal(got.delta.baseline, want.delta.baseline), "wire baseline differs from in-process")
         _expect(np.array_equal(got.delta.drops, want.delta.drops), "wire drops differ from in-process")
         _expect(got.clustered == want.clustered, "wire clustering differs from in-process")
         _expect(got.text == want.text, "wire report bytes differ from in-process")
-        _expect(got.budget.oracle_calls == shapley.query_count(self.groups).oracle_calls, f"{got.budget} does not match query_count")
 
     def close(self) -> dict:
         """Stop the child; returns its wire counts."""
         self.model.close()
+        self.remote.close()
         return json.loads(self.stats_path.read_text())
+
+    def check_close(self, side: dict) -> None:
+        """Every call counted on this side crossed the wire as one request
+        line and was scored once by the child's model."""
+        calls = self.counter.calls
+        _expect(side["requests"] == calls, f"child read {side['requests']} requests for {calls} oracle calls")
+        _expect(side["rows"] == calls, f"child scored {side['rows']} coalitions for {calls} oracle calls")
 
 
 class Wholebody133:
@@ -136,11 +168,11 @@ class Wholebody133:
         self.kc = skeleton.keypoint_connectivity(self.schema, skel)
         self.groups = grouping.Grouping.from_json(work / "groups133.json", self.schema)
         config = oracle.SyntheticModelConfig.from_json(work / "model133.json")
-        local = oracle.SyntheticOracle(config, self.schema)
-        self.model = TracedOracle(local, tracer) if tracer else local
+        self.counter = oracle.CountingOracle(oracle.SyntheticOracle(config, self.schema))
+        self.model = TracedOracle(self.counter, tracer) if tracer else self.counter
 
     def op(self, i: int) -> Attribution:
-        result = attribution_op(self.model, self.kc, self.groups, self.G, _op_seed(self.seed, i))
+        result = attribution_op(self.model, self.counter, self.kc, self.groups, self.G, _op_seed(self.seed, i))
         result.svg = analysis.render_heatmap(result.report.sigma, self.schema.names)
         return result
 
@@ -151,12 +183,15 @@ class Wholebody133:
         _expect(bool(np.all(np.abs(sigma.sum(axis=1) - 1.0) <= 1e-9)), "sigma rows do not sum to 1")
         flat = sorted(k for grp in got.clustered.groups for k in grp)
         _expect(got.clustered.g == self.G and flat == list(range(n)), "clustering is not a partition into 12 groups")
-        _expect(got.budget.oracle_calls == shapley.query_count(self.groups).oracle_calls, f"{got.budget} does not match query_count")
+        check_calls(got, self.groups, n)
         _expect(got.svg.count("<rect ") == n * n, "heatmap does not have n x n cells")
 
     def close(self) -> dict:
         self.model.close()
         return {}
+
+    def check_close(self, side: dict) -> None:
+        pass
 
 
 class GkrCrops:
@@ -220,6 +255,9 @@ class GkrCrops:
     def close(self) -> dict:
         self.sink.close()
         return {}
+
+    def check_close(self, side: dict) -> None:
+        pass
 
 
 WORKLOADS = {w.name: w for w in (Coco17Wire, Wholebody133, GkrCrops)}
