@@ -16,17 +16,21 @@ process and its children share one CPU. The wall-clock
 p50 is printed alongside. --trace 0 prints the end-to-end metrics:
   setup_s        median over 11 fresh processes of the reference seconds from
                  process start until the first op could be issued;
-  op_ref_p50_ms  median reference time of one op, a failed op counting as
-                 infinite;
-  ops_per_ref_s  ops that succeeded per reference second spent in ops;
+  op_ref_p50_ms  median reference time of one completed op, a failed op
+                 counting as infinite;
+  ops_per_ref_s  ops completed per reference second spent in all ops;
   peak_rss_mb    peak resident memory of this process plus its oracle child.
 --trace 1 prints per-layer metrics: the first S/2 seconds run untraced, the
   last S/2 traced (spans.py); the op_ref_p50_ms gap between them is the
   tracing overhead. Spans are also written to
   .perfbench_work/spans-<workload>.csv.
 
+An attribution op whose drop matrix has an all-zero row is refused by the
+program (degenerate-row); once the check has verified the refusal, the op
+counts as attempted, neither completed nor failed, and its time is spent.
+
 Lines before the last are information (versions, nproc, input statistics,
-wall times, host speed, error codes). The last line is one JSON object with
+wall times, host speed, refusal and error codes). The last line is one JSON object with
 exactly the keys correct, attempted, failed and metrics.
 """
 
@@ -106,8 +110,9 @@ def setup_seconds(name: str, work: Path, seed: int) -> tuple[float, float]:
 
 
 class Phase:
-    """Ops of one timed loop: per-op reference and wall seconds (inf for a
-    failed op), reference seconds spent in all ops, host speed, errors."""
+    """Ops of one timed loop: per-op reference and wall seconds of completed
+    (and, as inf, failed) ops, verified refusals, reference seconds spent in
+    all ops, host speed, errors."""
 
     def __init__(self):
         self.ref: list[float] = []
@@ -115,19 +120,20 @@ class Phase:
         self.spent_ref = 0.0
         self.speed: list[float] = []
         self.failed = 0
+        self.refused = 0
         self.checked = 0
         self.correct = True
         self.errors: dict[str, int] = {}
 
     @property
     def attempted(self) -> int:
-        return len(self.ref)
+        return len(self.ref) + self.refused
 
     def ref_p50_ms(self) -> float:
-        return statistics.median(self.ref) * 1e3
+        return statistics.median(self.ref) * 1e3 if self.ref else math.inf
 
     def ops_per_ref_s(self) -> float:
-        return (self.attempted - self.failed) / self.spent_ref
+        return (len(self.ref) - self.failed) / self.spent_ref
 
 
 def run_phase(wl, seconds: float, tracer=None) -> Phase:
@@ -180,6 +186,9 @@ def run_phase(wl, seconds: float, tracer=None) -> Phase:
         if tracer is not None:
             tracer.active = True
         i += 1
+        if error is None and getattr(result, "refused", None) is not None:
+            phase.refused += 1
+            continue
         if error is None:
             phase.ref.append(ref)
             phase.wall.append(wall)
@@ -275,11 +284,12 @@ def main(argv=None) -> int:
             phases = [plain, traced]
             overhead = (traced.ref_p50_ms() / plain.ref_p50_ms() - 1) * 100
             scale = proc.CALIBRATION_REF_S / statistics.median(traced.speed)
-            metrics = spans.layer_metrics(tracer, traced.attempted, wire or None, overhead, scale)
+            metrics = spans.layer_metrics(tracer, traced.attempted, traced.refused, wire or None, overhead, scale)
             tracer.write_csv(WORK_ROOT / f"spans-{ns.workload}.csv")
         info["host_calibration_ms"] = statistics.median(s for p in phases for s in p.speed) * 1e3
         info["ops"] = sum(p.attempted for p in phases)
         info["checked"] = sum(p.checked for p in phases)
+        info["refused"] = sum(p.refused for p in phases)
         info["errors"] = {}
         for p in phases:
             for code, count in p.errors.items():

@@ -244,11 +244,12 @@ def _pct(values, q):
     return statistics.quantiles(values, n=100, method="inclusive")[q - 1]
 
 
-def layer_metrics(tracer: Tracer, ops: int, wire: dict | None, overhead_pct: float, scale: float) -> dict:
+def layer_metrics(tracer: Tracer, ops: int, refused: int, wire: dict | None, overhead_pct: float, scale: float) -> dict:
     """Per-layer metrics as {name: {"value", "unit"}}.
 
     Counts and times are totals over the traced phase divided by the ops
-    attempted in it; a layer the workload does not reach reads 0. `wire` is
+    attempted in it, `refused` of them ended by a degenerate-row refusal; a
+    layer the workload does not reach reads 0. `wire` is
     the serving child's counts on coco17-wire, else None. Span times are
     multiplied by `scale`, the reference over the measured host speed, to
     read in the same reference seconds as the end-to-end metrics.
@@ -298,6 +299,7 @@ def layer_metrics(tracer: Tracer, ops: int, wire: dict | None, overhead_pct: flo
     put("oracle.spawn_s", spawn_s, "s")
     put("perturb.delta_perf_matrix_s", incl["perturb.delta_perf_matrix"] * per, "s/op")
     put("perturb.delta_perf_matrix_self_s", selft["perturb.delta_perf_matrix"] * per, "s/op")
+    put("perturb.degenerate_row_ops", refused * per, "ratio")
     put("grouping.interdependency_s", incl["grouping.interdependency"] * per, "s/op")
     put("grouping.cluster_s", incl["grouping.cluster"] * per, "s/op")
     put("grouping.cluster_calls", calls["grouping.cluster"] * per, "count/op")

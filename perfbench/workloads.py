@@ -14,6 +14,14 @@ On the attribution workloads every oracle call goes through a
 `kpshap.oracle.CountingOracle`, so the calls an op makes are counted where
 the predictor is called, not derived from the program's own budget.
 
+On the noisy synthetic models some op seeds give a drop matrix with an
+all-zero row, and `perturbation_influence` refuses it with
+`DataError(code="degenerate-row")`, as the CLI would. Such an op is a
+refusal, not a failure: its result carries the error, the check verifies
+that the named rows really sum to zero (and, on the wire, that the
+in-process replay refuses the same way), and the runner counts it as
+attempted but not completed. No seed is skipped or re-chosen.
+
 kpshap functions are always reached through their module attributes, so the
 traced run sees every call.
 """
@@ -32,6 +40,7 @@ import numpy as np
 
 import gen
 from kpshap import analysis, cli, grouping, oracle, perturb, shapley, skeleton
+from kpshap.errors import DataError
 from spans import TracedOracle, Tracer
 
 BENCH = Path(__file__).resolve().parent
@@ -39,6 +48,7 @@ ROOT = BENCH.parent
 FIXTURES = ROOT / "fixtures"
 CROPS = 32
 TRIALS = 2  # delta_perf_matrix m
+DEGENERATE = "degenerate-row"
 
 
 class CheckFailed(Exception):
@@ -48,35 +58,52 @@ class CheckFailed(Exception):
 @dataclass
 class Attribution:
     delta: perturb.DeltaMatrix
-    clustered: grouping.Grouping
-    report: shapley.AttributionReport
-    budget: shapley.QueryBudget
-    text: str
     delta_calls: int
-    shapley_calls: int
+    clustered: grouping.Grouping | None = None
+    report: shapley.AttributionReport | None = None
+    budget: shapley.QueryBudget | None = None
+    text: str = ""
+    shapley_calls: int = 0
     svg: str | None = None
+    refused: DataError | None = None
 
 
 def attribution_op(model, counter: oracle.CountingOracle, kc, groups, g: int, seed: int) -> Attribution:
     """interdep sweep (m=2) -> influence -> interdependency -> cluster, then
     coarse-to-fine Shapley on the given grouping, serialized as the CLI does.
-    `counter` is the CountingOracle that `model`'s calls pass through."""
+    `counter` is the CountingOracle that `model`'s calls pass through.
+    A degenerate-row refusal ends the op after the sweep."""
     c0 = counter.calls
     delta = perturb.delta_perf_matrix(model, m=TRIALS, seed=seed)
     c1 = counter.calls
-    s = grouping.interdependency(perturb.perturbation_influence(delta), kc)
-    clustered = grouping.cluster(s, g=g)
+    try:
+        influence = perturb.perturbation_influence(delta)
+    except DataError as e:
+        if e.code != DEGENERATE:
+            raise
+        return Attribution(delta, c1 - c0, refused=e)
+    clustered = grouping.cluster(grouping.interdependency(influence, kc), g=g)
     report, budget = shapley.run_group_attribution(model, groups, trial=seed)
     c2 = counter.calls
     text = json.dumps(report.to_json_dict(), sort_keys=True, indent=2) + "\n"
-    return Attribution(delta, clustered, report, budget, text, c1 - c0, c2 - c1)
+    return Attribution(delta, c1 - c0, clustered, report, budget, text, c2 - c1)
+
+
+def check_refusal(got: Attribution) -> None:
+    """A refusal names exactly the keypoints whose drop rows sum to zero."""
+    dead = [got.delta.names[k] for k in np.flatnonzero(got.delta.drops.sum(axis=1) == 0.0)]
+    _expect(bool(dead), f"refused ({got.refused}) but no drop row sums to zero")
+    _expect(str(got.refused).endswith("for: " + ", ".join(dead)), f"refusal {got.refused!s} does not name the zero rows {dead}")
 
 
 def check_calls(got: Attribution, groups, n: int) -> None:
     """The sweep scores the full set and each keypoint hidden, once per
     trial; Shapley makes exactly the calls query_count prices."""
-    want = shapley.query_count(groups).oracle_calls
     _expect(got.delta_calls == TRIALS * (n + 1), f"delta_perf_matrix made {got.delta_calls} oracle calls, expected {TRIALS * (n + 1)}")
+    if got.refused is not None:
+        check_refusal(got)
+        return
+    want = shapley.query_count(groups).oracle_calls
     _expect(got.shapley_calls == want, f"run_group_attribution made {got.shapley_calls} oracle calls, query_count says {want}")
     _expect(got.budget.oracle_calls == want, f"{got.budget} does not match query_count ({want} calls)")
 
@@ -127,6 +154,7 @@ class Coco17Wire:
         want = attribution_op(self.replay, self.replay, self.kc, self.groups, 5, _op_seed(self.seed, i))
         _expect(np.array_equal(got.delta.baseline, want.delta.baseline), "wire baseline differs from in-process")
         _expect(np.array_equal(got.delta.drops, want.delta.drops), "wire drops differ from in-process")
+        _expect(str(got.refused) == str(want.refused), f"wire refusal {got.refused} differs from in-process {want.refused}")
         _expect(got.clustered == want.clustered, "wire clustering differs from in-process")
         _expect(got.text == want.text, "wire report bytes differ from in-process")
 
@@ -173,17 +201,20 @@ class Wholebody133:
 
     def op(self, i: int) -> Attribution:
         result = attribution_op(self.model, self.counter, self.kc, self.groups, self.G, _op_seed(self.seed, i))
-        result.svg = analysis.render_heatmap(result.report.sigma, self.schema.names)
+        if result.refused is None:
+            result.svg = analysis.render_heatmap(result.report.sigma, self.schema.names)
         return result
 
     def check(self, i: int, got: Attribution) -> None:
         n = self.schema.n
+        check_calls(got, self.groups, n)
+        if got.refused is not None:
+            return
         sigma = np.asarray(got.report.sigma)
         _expect(sigma.shape == (n, n) and bool(np.all(sigma >= 0)), "sigma is not a non-negative n x n matrix")
         _expect(bool(np.all(np.abs(sigma.sum(axis=1) - 1.0) <= 1e-9)), "sigma rows do not sum to 1")
         flat = sorted(k for grp in got.clustered.groups for k in grp)
         _expect(got.clustered.g == self.G and flat == list(range(n)), "clustering is not a partition into 12 groups")
-        check_calls(got, self.groups, n)
         _expect(got.svg.count("<rect ") == n * n, "heatmap does not have n x n cells")
 
     def close(self) -> dict:
