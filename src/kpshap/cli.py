@@ -150,9 +150,7 @@ def cmd_interdep(ns) -> int:
     oracle, oracle_inputs = _open_oracle(ns, schema)
     with oracle:
         identity = oracle.describe()
-        delta = delta_perf_matrix(
-            oracle, instances=instances, m=ns.trials, seed=ns.seed, jobs=ns.jobs
-        )
+        delta = delta_perf_matrix(oracle, instances=instances, m=ns.trials, seed=ns.seed)
     write_delta_csv(ns.out_delta, delta)
     pi = perturbation_influence(delta)
     write_matrix_csv(ns.out_pi, list(delta.names), pi)
@@ -200,7 +198,6 @@ def cmd_shapley(ns) -> int:
             grouping,
             instances=instances,
             trial=ns.seed,
-            jobs=ns.jobs,
             split_mode=ns.split,
         )
     _write_json(ns.out, report.to_json_dict())
@@ -383,7 +380,13 @@ def cmd_oracle_serve_synthetic(ns) -> int:
 
 def _add_seed_jobs(p):
     p.add_argument("--seed", type=int, default=0, help="base seed (default 0)")
-    p.add_argument("--jobs", type=int, default=1, help="concurrent oracle calls (default 1)")
+    p.add_argument(
+        "--jobs",
+        type=int,
+        default=1,
+        help="accepted for compatibility and recorded in the manifest; evaluation is "
+        "sequential, so it changes neither outputs nor speed (>= 1, default 1)",
+    )
 
 
 def _add_manifest(p):

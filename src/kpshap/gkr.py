@@ -11,7 +11,6 @@ touches only the planned rectangles, every other pixel byte stays identical.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -19,12 +18,9 @@ import numpy as np
 
 from .errors import DataError
 from .grouping import Grouping
+from .perturb import _centered_rect, _round_half_up
 from .rng import generator, mix64
 from .skeleton import KeypointSchema
-
-
-def _round_half_up(v: float) -> int:
-    return int(math.floor(v + 0.5))
 
 
 @dataclass(frozen=True)
@@ -200,14 +196,6 @@ class ErasePlan:
             )
         except (KeyError, TypeError, ValueError) as e:
             raise DataError(f"bad erase plan record: {e}") from e
-
-
-def _centered_rect(
-    x: float, y: float, w: int, h: int, width: int, height: int
-) -> tuple[int, int, int, int]:
-    x0 = min(max(_round_half_up(x - w / 2), 0), width - 1)
-    y0 = min(max(_round_half_up(y - h / 2), 0), height - 1)
-    return (x0, y0, min(x0 + w, width), min(y0 + h, height))
 
 
 def plan_gkr(person: PersonAnnotation, grouping: Grouping, cfg: GkrConfig) -> ErasePlan:

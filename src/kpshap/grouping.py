@@ -12,13 +12,11 @@ hip joints pair up before either joins its own leg chain.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, _json_document
 from .skeleton import KeypointSchema
 
 LINKAGES = ("single", "average", "complete")
@@ -73,17 +71,7 @@ class Grouping:
 
     @classmethod
     def from_json(cls, source, schema: KeypointSchema) -> "Grouping":
-        if isinstance(source, (str, Path)) and not (
-            isinstance(source, str) and source.lstrip().startswith("{")
-        ):
-            try:
-                doc = json.loads(Path(source).read_text())
-            except (OSError, json.JSONDecodeError) as e:
-                raise DataError(f"cannot load grouping {source}: {e}") from e
-        elif isinstance(source, str):
-            doc = json.loads(source)
-        else:
-            doc = source
+        doc = _json_document(source, "grouping")
         try:
             sets = [[schema.index_of(nm) for nm in grp] for grp in doc["groups"]]
             declared = int(doc["g"])

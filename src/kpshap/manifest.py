@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import DataError
+from .errors import DataError, _json_document
 
 TOOL_NAME = "kpshap"
 
@@ -72,20 +72,7 @@ class RunManifest:
 
     @classmethod
     def from_json(cls, source) -> "RunManifest":
-        if isinstance(source, (str, Path)) and not str(source).lstrip().startswith("{"):
-            try:
-                doc = json.loads(Path(source).read_text())
-            except OSError as e:
-                raise DataError(f"cannot read manifest {source}: {e}") from e
-            except json.JSONDecodeError as e:
-                raise DataError(f"manifest {source}: invalid JSON: {e}") from e
-        elif isinstance(source, str):
-            try:
-                doc = json.loads(source)
-            except json.JSONDecodeError as e:
-                raise DataError(f"manifest text: invalid JSON: {e}") from e
-        else:
-            doc = source
+        doc = _json_document(source, "manifest")
         try:
             return cls(
                 tool=doc["tool"],

@@ -35,11 +35,10 @@ import subprocess
 import threading
 import time
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, MissingCoalitionError, OracleError
+from .errors import DataError, MissingCoalitionError, OracleError, _json_document
 from .rng import generator
 from .skeleton import KeypointSchema
 
@@ -193,15 +192,7 @@ class SyntheticModelConfig:
 
     @classmethod
     def from_json(cls, source) -> "SyntheticModelConfig":
-        if isinstance(source, (str, Path)) and not (isinstance(source, str) and source.lstrip().startswith("{")):
-            try:
-                doc = json.loads(Path(source).read_text())
-            except (OSError, json.JSONDecodeError) as e:
-                raise DataError(f"cannot load synthetic config {source}: {e}") from e
-        elif isinstance(source, str):
-            doc = json.loads(source)
-        else:
-            doc = source
+        doc = _json_document(source, "synthetic config")
         try:
             return cls(
                 base=tuple(float(v) for v in doc["base"]),
@@ -256,10 +247,6 @@ class SyntheticOracle(CoalitionValueOracle):
 
     def describe(self) -> str:
         return f"synthetic:{self._digest}"
-
-
-def make_synthetic_oracle(config: SyntheticModelConfig, schema: KeypointSchema) -> SyntheticOracle:
-    return SyntheticOracle(config, schema)
 
 
 class TabularOracle(CoalitionValueOracle):
@@ -378,6 +365,7 @@ class ExternalOracle(CoalitionValueOracle):
         self.timeout = timeout
         self._lock = threading.Lock()
         self._buf = b""
+        self._broken: OracleError | None = None
         try:
             self._proc = subprocess.Popen(
                 argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE
@@ -386,9 +374,14 @@ class ExternalOracle(CoalitionValueOracle):
             raise OracleError(f"cannot start oracle {argv[0]!r}: {e}", code="oracle-io") from e
         self._sel = selectors.DefaultSelector()
         self._sel.register(self._proc.stdout, selectors.EVENT_READ)
-        hello = self._read_message()
+        try:
+            hello = self._read_message()
+        except OracleError as e:
+            raise self._fail(e)
         if hello.get("op") != "hello":
-            raise OracleError(f"expected hello handshake, got {hello!r}", code="oracle-io")
+            raise self._fail(
+                OracleError(f"expected hello handshake, got {hello!r}", code="oracle-io")
+            )
         names = tuple(hello.get("names", ()))
         if hello.get("n") != schema.n or names != schema.names:
             self.close()
@@ -397,6 +390,18 @@ class ExternalOracle(CoalitionValueOracle):
                 f"expected n={schema.n} names={schema.names}",
                 code="schema-mismatch",
             )
+
+    def _fail(self, err: OracleError) -> OracleError:
+        """Kill the child and refuse every later call.
+
+        After a timeout or I/O error the child's late or partial reply would
+        be read as the answer to the next request, so the stream is dropped.
+        """
+        self._broken = err
+        if self._proc.poll() is None:
+            self._proc.kill()
+        self._proc.wait()
+        return err
 
     def _read_line(self) -> bytes:
         deadline = time.monotonic() + self.timeout
@@ -438,16 +443,23 @@ class ExternalOracle(CoalitionValueOracle):
             "trial": trial,
         }
         with self._lock:
-            if self._proc.poll() is not None:
+            if self._broken is not None:
                 raise OracleError(
-                    f"oracle process exited with {self._proc.returncode}", code="oracle-io"
+                    f"oracle unusable after an earlier failure: {self._broken}", code="oracle-io"
                 )
             try:
-                self._proc.stdin.write(_dumps(request))
-                self._proc.stdin.flush()
-            except (BrokenPipeError, OSError) as e:
-                raise OracleError(f"cannot write to oracle: {e}", code="oracle-io") from e
-            msg = self._read_message()
+                if self._proc.poll() is not None:
+                    raise OracleError(
+                        f"oracle process exited with {self._proc.returncode}", code="oracle-io"
+                    )
+                try:
+                    self._proc.stdin.write(_dumps(request))
+                    self._proc.stdin.flush()
+                except OSError as e:
+                    raise OracleError(f"cannot write to oracle: {e}", code="oracle-io") from e
+                msg = self._read_message()
+            except OracleError as e:
+                raise self._fail(e)
         if "error" in msg:
             raise OracleError(f"oracle reported: {msg['error']}")
         if "values" not in msg:

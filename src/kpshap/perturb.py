@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +22,16 @@ from .skeleton import KeypointSchema, canonical_name
 
 def _round_half_up(v: float) -> int:
     return int(math.floor(v + 0.5))
+
+
+def _centered_rect(
+    x: float, y: float, w: int, h: int, width: int, height: int
+) -> tuple[int, int, int, int]:
+    """Half-open w x h rectangle centred on (x, y): the corner is clamped into
+    the width x height image and the far edges are clipped to it."""
+    x0 = min(max(_round_half_up(x - w / 2), 0), width - 1)
+    y0 = min(max(_round_half_up(y - h / 2), 0), height - 1)
+    return (x0, y0, min(x0 + w, width), min(y0 + h, height))
 
 
 @dataclass(frozen=True)
@@ -68,11 +77,9 @@ def gen_masks(
         aspect = math.exp(rng.uniform(math.log(aspect_range[0]), math.log(aspect_range[1])))
         w = max(1, _round_half_up(math.sqrt(area * aspect)))
         h = max(1, _round_half_up(math.sqrt(area / aspect)))
-        x0 = min(max(_round_half_up(x - w / 2), 0), w_img - 1)
-        y0 = min(max(_round_half_up(y - h / 2), 0), h_img - 1)
-        x1 = min(x0 + w, w_img)
-        y1 = min(y0 + h, h_img)
-        masks.append(MaskSpec((x, y), x1 - x0, y1 - y0, (x0, y0, x1, y1)))
+        rect = _centered_rect(x, y, w, h, w_img, h_img)
+        x0, y0, x1, y1 = rect
+        masks.append(MaskSpec((x, y), x1 - x0, y1 - y0, rect))
     return masks
 
 
@@ -125,7 +132,6 @@ def delta_perf_matrix(
     instances="all",
     m: int = 1,
     seed: int = 0,
-    jobs: int = 1,
 ) -> DeltaMatrix:
     """Hide each keypoint alone, average over m trials, clamp drops at 0.
 
@@ -140,16 +146,7 @@ def delta_perf_matrix(
     trials = [mix64("delta-trial", seed, t) for t in range(m)]
     tasks = [(full, t) for t in trials]
     tasks += [(full.without(j), t) for j in range(n) for t in trials]
-
-    def run(task):
-        coalition, trial = task
-        return oracle.eval(instances, coalition, trial)
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(run, tasks))
-    else:
-        results = [run(t) for t in tasks]
+    results = [oracle.eval(instances, coalition, trial) for coalition, trial in tasks]
 
     baseline = np.mean(results[:m], axis=0)
     drops = np.zeros((n, n), dtype=np.float64)

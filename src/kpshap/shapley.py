@@ -7,16 +7,17 @@ whole groups against each other. Both stages are exact Shapley computations
 over at most a handful of players, so the budget collapses from 2^n to
 sum_k 2^|G_k| + 2^g.
 
-Every stage enumerates its coalition set once and reuses the resulting
-per-keypoint vectors for all targets of that stage, so the oracle sees each
-stage coalition exactly once no matter how many targets it serves.
+The stages are listed in one place (``_stages``): one per group, then the
+group stage. Each stage is evaluated once, in order, and one
+weighted-difference pass prices all of its targets, so the oracle sees each
+stage coalition exactly once no matter how many targets it serves, and the
+budget is the summed stage sizes.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,6 +92,41 @@ def _popcounts(n: int) -> np.ndarray:
     return size
 
 
+def _tables(table: np.ndarray, players, targets) -> list[ShapleyTable]:
+    """Exact Shapley tables of t games over the same players, in one pass.
+
+    ``table`` is (2^n, t), one column of coalition values per target. Each
+    target's weighted gains are summed as their own contiguous row, so pricing
+    t games together rounds exactly as pricing them one at a time.
+    """
+    if not np.all(np.isfinite(table)):
+        raise DataError("game value is non-finite")
+    n = len(players)
+    games = np.ascontiguousarray(table.T)
+    size = _popcounts(n)
+    fact = [math.factorial(k) for k in range(n + 1)]
+    weight = np.array(
+        [fact[k] * fact[n - 1 - k] / fact[n] for k in range(n)], dtype=np.float64
+    )
+    masks = np.arange(1 << n, dtype=np.int64)
+    phi = np.empty((len(targets), n), dtype=np.float64)
+    for j in range(n):
+        without = masks[(masks >> j) & 1 == 0]
+        weighted = weight[size[without]] * (games[:, without | (1 << j)] - games[:, without])
+        for t, row in enumerate(weighted):
+            phi[t, j] = np.sum(row)
+    return [
+        ShapleyTable(
+            target=target,
+            players=players,
+            phi=tuple(float(v) for v in phi[t]),
+            value_full=float(table[-1, t]),
+            value_empty=float(table[0, t]),
+        )
+        for t, target in enumerate(targets)
+    ]
+
+
 def exact_shapley(value, n: int, players=None, target: str = "") -> ShapleyTable:
     """Exact Shapley values of a scalar coalition game.
 
@@ -105,30 +141,10 @@ def exact_shapley(value, n: int, players=None, target: str = "") -> ShapleyTable
     if len(players) != n:
         raise DataError(f"{len(players)} player labels for n={n}")
 
-    table = np.empty(1 << n, dtype=np.float64)
+    table = np.empty((1 << n, 1), dtype=np.float64)
     for mask in range(1 << n):
-        table[mask] = float(value(mask))
-    if not np.all(np.isfinite(table)):
-        raise DataError("game value is non-finite")
-
-    size = _popcounts(n)
-    fact = [math.factorial(k) for k in range(n + 1)]
-    weight = np.array(
-        [fact[k] * fact[n - 1 - k] / fact[n] for k in range(n)], dtype=np.float64
-    )
-    masks = np.arange(1 << n, dtype=np.int64)
-    phi = np.empty(n, dtype=np.float64)
-    for j in range(n):
-        without = masks[(masks >> j) & 1 == 0]
-        gains = table[without | (1 << j)] - table[without]
-        phi[j] = float(np.sum(weight[size[without]] * gains))
-    return ShapleyTable(
-        target=target,
-        players=players,
-        phi=tuple(float(v) for v in phi),
-        value_full=float(table[-1]),
-        value_empty=float(table[0]),
-    )
+        table[mask, 0] = float(value(mask))
+    return _tables(table, players, (target,))[0]
 
 
 def read_game_csv(path) -> tuple[int, np.ndarray]:
@@ -222,52 +238,57 @@ def sampled_shapley(
     )
 
 
-def _eval_coalitions(oracle, coalitions, instances, trial, jobs):
-    def run(c):
-        return oracle.eval(instances, c, trial)
+def _stages(grouping: Grouping) -> list[tuple[int, ...]]:
+    """Player bits of every stage: one stage per group, then the group stage.
 
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(run, coalitions))
-    return [run(c) for c in coalitions]
+    Stage k's players are group k's members, one bit each; the last stage's
+    players are whole groups. query_count and every stage evaluation read
+    this one list.
+    """
+    groups = [tuple(1 << i for i in grp) for grp in grouping.groups]
+    return groups + [tuple(sum(players) for players in groups)]
 
 
-def _scatter(local_mask: int, members: tuple[int, ...]) -> int:
-    bits = 0
-    for pos, idx in enumerate(members):
-        if local_mask >> pos & 1:
-            bits |= 1 << idx
+def _coalitions(players: tuple[int, ...], n: int) -> list[int]:
+    """The 2^k coalitions of a stage; bit j of a coalition's index picks
+    players[j], and every keypoint outside the players stays visible."""
+    _check_player_count(len(players))
+    bits = [((1 << n) - 1) ^ sum(players)]
+    for p in players:
+        bits += [b | p for b in bits]
     return bits
 
 
-def _intra_stage(oracle, grouping: Grouping, k: int, instances, trial, jobs):
-    """All 2^|G_k| vectors for subsets of group k, rest of body visible."""
-    n = grouping.n
-    members = grouping.groups[k]
-    _check_player_count(len(members))
-    group_bits = _scatter((1 << len(members)) - 1, members)
-    out_bits = ((1 << n) - 1) & ~group_bits
-    coalitions = [
-        Coalition(out_bits | _scatter(m, members), n) for m in range(1 << len(members))
-    ]
-    vectors = _eval_coalitions(oracle, coalitions, instances, trial, jobs)
-    return members, vectors
+def group_label(k: int) -> str:
+    return f"group{k + 1}"
 
 
-def _group_stage(oracle, grouping: Grouping, instances, trial, jobs):
-    """All 2^g vectors for unions of whole groups."""
+def _stage_tables(oracle, grouping: Grouping, k: int, instances, trial):
+    """Evaluate stage k once, in order, and price every target it serves.
+
+    Stages 0..g-1 are the within-group stages and give one table per member
+    of group k; stage g is the group stage and gives one table per group.
+    Returns (coalition bits, tables). The (2^players, n) value array lives
+    only for this call.
+    """
     n = grouping.n
-    g = grouping.g
-    _check_player_count(g)
-    group_bits = [_scatter((1 << len(grp)) - 1, grp) for grp in grouping.groups]
-    coalitions = []
-    for cmask in range(1 << g):
-        bits = 0
-        for h in range(g):
-            if cmask >> h & 1:
-                bits |= group_bits[h]
-        coalitions.append(Coalition(bits, n))
-    return _eval_coalitions(oracle, coalitions, instances, trial, jobs)
+    bits = _coalitions(_stages(grouping)[k], n)
+    values = np.empty((len(bits), oracle.schema.n), dtype=np.float64)
+    for row, b in zip(values, bits):
+        row[:] = oracle.eval(instances, Coalition(b, n), trial)
+    if k < grouping.g:
+        members = list(grouping.groups[k])
+        players = tuple(oracle.schema.names[i] for i in members)
+        return bits, _tables(values[:, members], players, players)
+    # a group coalition's value is the target group's mean performance, one
+    # 1-D mean per coalition: a 2-D mean(axis=1) rounds differently once a
+    # group has 8 or more members
+    means = np.empty((len(bits), grouping.g), dtype=np.float64)
+    for h, members in enumerate(grouping.groups):
+        for m, row in enumerate(values[:, list(members)]):
+            means[m, h] = np.mean(row)
+    labels = tuple(group_label(h) for h in range(grouping.g))
+    return bits, _tables(means, labels, labels)
 
 
 def intra_group_shapley(
@@ -276,26 +297,15 @@ def intra_group_shapley(
     target: int,
     instances="all",
     trial: int = 0,
-    jobs: int = 1,
 ) -> ShapleyTable:
     """Shapley values of the target over its own group.
 
     The conditional game keeps every out-of-group keypoint visible and varies
     only the group members, reading off the target's performance component.
     """
-    schema_names = oracle.schema.names
     k = grouping.group_of(target)
-    members, vectors = _intra_stage(oracle, grouping, k, instances, trial, jobs)
-    return exact_shapley(
-        lambda m: vectors[m][target],
-        len(members),
-        players=tuple(schema_names[i] for i in members),
-        target=schema_names[target],
-    )
-
-
-def group_label(k: int) -> str:
-    return f"group{k + 1}"
+    _, tables = _stage_tables(oracle, grouping, k, instances, trial)
+    return tables[grouping.groups[k].index(target)]
 
 
 def group_shapley(
@@ -304,7 +314,6 @@ def group_shapley(
     target_group: int,
     instances="all",
     trial: int = 0,
-    jobs: int = 1,
 ) -> ShapleyTable:
     """Shapley values of whole groups for one target group.
 
@@ -313,14 +322,8 @@ def group_shapley(
     """
     if not 0 <= target_group < grouping.g:
         raise DataError(f"target group {target_group} out of range")
-    vectors = _group_stage(oracle, grouping, instances, trial, jobs)
-    members = list(grouping.groups[target_group])
-    return exact_shapley(
-        lambda m: float(np.mean(vectors[m][members])),
-        grouping.g,
-        players=tuple(group_label(h) for h in range(grouping.g)),
-        target=group_label(target_group),
-    )
+    _, tables = _stage_tables(oracle, grouping, grouping.g, instances, trial)
+    return tables[target_group]
 
 
 def normalize_nonneg(values) -> np.ndarray:
@@ -336,8 +339,8 @@ def normalize_nonneg(values) -> np.ndarray:
 
 def query_count(grouping: Grouping, trials: int = 1) -> QueryBudget:
     """Predicted budget of a full coarse-to-fine run (per instance batch)."""
-    distinct = sum(1 << len(grp) for grp in grouping.groups) + (1 << grouping.g)
-    return QueryBudget(distinct, distinct * trials)
+    calls = sum(1 << len(players) for players in _stages(grouping))
+    return QueryBudget(calls, calls * trials)
 
 
 def exact_query_count(n: int, trials: int = 1) -> QueryBudget:
@@ -443,56 +446,28 @@ def run_group_attribution(
     grouping: Grouping,
     instances="all",
     trial: int = 0,
-    jobs: int = 1,
     split_mode: str = "uniform",
 ) -> tuple[AttributionReport, QueryBudget]:
     """Full coarse-to-fine run over every keypoint and group.
 
-    Each within-group stage is evaluated once and shared by all its members'
-    tables; the group stage once for all group tables. Total oracle calls
-    therefore match query_count(grouping) exactly.
+    Each stage is evaluated once and shared by all the tables it serves, so
+    oracle calls are the summed stage sizes and match query_count(grouping)
+    exactly; distinct coalitions are the size of the stages' union.
     """
     schema = oracle.schema
     n = schema.n
     if grouping.n != n:
         raise DataError(f"grouping over n={grouping.n}, oracle schema has n={n}")
 
+    stages = [
+        _stage_tables(oracle, grouping, k, instances, trial) for k in range(grouping.g + 1)
+    ]
     intra_tables: list[ShapleyTable | None] = [None] * n
-    calls = 0
-    distinct: set[int] = set()
-    for k, members in enumerate(grouping.groups):
-        members, vectors = _intra_stage(oracle, grouping, k, instances, trial, jobs)
-        calls += len(vectors)
-        out_bits = ((1 << n) - 1) & ~_scatter((1 << len(members)) - 1, members)
-        distinct.update(out_bits | _scatter(m, members) for m in range(len(vectors)))
-        for pos, i in enumerate(members):
-            intra_tables[i] = exact_shapley(
-                lambda m, i=i: vectors[m][i],
-                len(members),
-                players=tuple(schema.names[idx] for idx in members),
-                target=schema.names[i],
-            )
-
-    vectors = _group_stage(oracle, grouping, instances, trial, jobs)
-    calls += len(vectors)
-    group_bits = [_scatter((1 << len(grp)) - 1, grp) for grp in grouping.groups]
-    for cmask in range(1 << grouping.g):
-        bits = 0
-        for h in range(grouping.g):
-            if cmask >> h & 1:
-                bits |= group_bits[h]
-        distinct.add(bits)
-    group_tables = []
-    for h in range(grouping.g):
-        members = list(grouping.groups[h])
-        group_tables.append(
-            exact_shapley(
-                lambda m, members=members: float(np.mean(vectors[m][members])),
-                grouping.g,
-                players=tuple(group_label(i) for i in range(grouping.g)),
-                target=group_label(h),
-            )
-        )
+    for members, (_, tables) in zip(grouping.groups, stages):
+        for i, table in zip(members, tables):
+            intra_tables[i] = table
+    group_tables = stages[-1][1]
 
     report = combined_attribution(schema, grouping, intra_tables, group_tables, split_mode)
-    return report, QueryBudget(len(distinct), calls)
+    distinct = set().union(*(bits for bits, _ in stages))
+    return report, QueryBudget(len(distinct), sum(len(bits) for bits, _ in stages))

@@ -12,11 +12,10 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from importlib import resources
-from pathlib import Path
 
 import numpy as np
 
-from .errors import SchemaError
+from .errors import SchemaError, _json_document
 
 # Canonical names use "ankle"; several published tables write "foot" for the
 # same joints and abbreviate "shoulder", so those spellings resolve here.
@@ -96,20 +95,7 @@ def load_schema(source) -> tuple[KeypointSchema, Skeleton]:
     Document shape: ``{"names": [...], "edges": [[name, name], ...]}``.
     Alias spellings are resolved before anything else looks at the names.
     """
-    if isinstance(source, (str, Path)) and not (isinstance(source, str) and source.lstrip().startswith("{")):
-        try:
-            doc = json.loads(Path(source).read_text())
-        except OSError as e:
-            raise SchemaError(f"cannot read schema {source}: {e}", code="schema-io") from e
-        except json.JSONDecodeError as e:
-            raise SchemaError(f"schema {source} is not valid JSON: {e}", code="schema-parse") from e
-    elif isinstance(source, str):
-        try:
-            doc = json.loads(source)
-        except json.JSONDecodeError as e:
-            raise SchemaError(f"schema text is not valid JSON: {e}", code="schema-parse") from e
-    else:
-        doc = source
+    doc = _json_document(source, "schema", SchemaError, "schema-io", "schema-parse")
     if not isinstance(doc, dict) or "names" not in doc or "edges" not in doc:
         raise SchemaError("schema document must have 'names' and 'edges'", code="schema-parse")
 

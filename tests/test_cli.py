@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -68,6 +69,34 @@ def test_data_error_exit_3(capsys, tmp_path):
     assert err.startswith("error(")
 
 
+@pytest.mark.parametrize("command", ["shapley", "interdep"])
+def test_truncated_json_text_exit_3(capsys, fixtures_dir, tmp_path, command):
+    # JSON text given in place of a file path is parsed like a file's content
+    if command == "shapley":
+        argv = [
+            "shapley",
+            "--synthetic",
+            str(fixtures_dir / "synthetic17.json"),
+            "--groups",
+            '{"g": 5, "groups": [',
+            "--out",
+            str(tmp_path / "report.json"),
+        ]
+    else:
+        argv = [
+            "interdep",
+            "--synthetic",
+            '{"base": [',
+            "--out-delta",
+            str(tmp_path / "d.csv"),
+            "--out-pi",
+            str(tmp_path / "pi.csv"),
+        ]
+    code, _, err = run(capsys, *argv)
+    assert code == 3
+    assert err.startswith("error(data): ") and "not valid JSON" in err
+
+
 def test_missing_coalition_exit_4(capsys, fixtures_dir, tmp_path):
     # the frozen drop-table oracle only holds the 18 interdependency
     # coalitions, so a group attribution run must fail as an oracle error
@@ -112,6 +141,34 @@ def test_cost_rejects_inconsistent_sizes(capsys):
     code, _, err = run(capsys, "cost", "--groups", "5,3", "--n", "17")
     assert code == 3
     assert "sum" in err
+
+
+@pytest.mark.parametrize(
+    "split, sha256",
+    [
+        ("uniform", "da1c9549032b3d2e75d030aa455a2d3aa7a8eed167bab129cbee5952b54d56a3"),
+        ("proportional", "863d24400c4aa5cebf729846136b0ea5704506383f57aea14bf2ddefc4a3537e"),
+    ],
+    ids=["uniform", "proportional"],
+)
+def test_shapley_report_is_golden(capsys, fixtures_dir, tmp_path, split, sha256):
+    out = tmp_path / "report.json"
+    code, _, _ = run(
+        capsys,
+        "shapley",
+        "--synthetic",
+        str(fixtures_dir / "synthetic17.json"),
+        "--groups",
+        str(fixtures_dir / "expected_groups.json"),
+        "--seed",
+        "3",
+        "--split",
+        split,
+        "--out",
+        str(out),
+    )
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
 
 
 def test_exact_glove_stdout(capsys, fixtures_dir):

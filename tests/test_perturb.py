@@ -87,15 +87,6 @@ def test_delta_from_synthetic_oracle_matches_direct_eval():
     assert delta.drops[1, 0] == pytest.approx(0.0, abs=1e-12)
 
 
-def test_delta_jobs_do_not_change_values():
-    schema = tiny_schema(5)
-    oracle = SyntheticOracle(make_config(5, noise=0.05), schema)
-    a = delta_perf_matrix(oracle, m=3, seed=9, jobs=1)
-    b = delta_perf_matrix(oracle, m=3, seed=9, jobs=8)
-    assert np.array_equal(a.baseline, b.baseline)
-    assert np.array_equal(a.drops, b.drops)
-
-
 def test_delta_trials_average_noise():
     schema = tiny_schema()
     oracle = SyntheticOracle(make_config(noise=0.2), schema)

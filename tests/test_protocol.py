@@ -97,6 +97,38 @@ def test_external_oracle_timeout():
         oracle.close()
 
 
+SLOW_FIRST_REPLY = """\
+import json, sys, time
+sys.stdout.write(json.dumps({"op": "hello", "n": 3, "names": ["k0", "k1", "k2"]}) + "\\n")
+sys.stdout.flush()
+for count, line in enumerate(sys.stdin):
+    if count == 0:
+        time.sleep(1.5)
+    visible = json.loads(line)["visible"]
+    values = [1.0 if k in visible else 0.0 for k in range(3)]
+    sys.stdout.write(json.dumps({"values": values}) + "\\n")
+    sys.stdout.flush()
+"""
+
+
+def test_external_oracle_refuses_calls_after_timeout(tmp_path):
+    # the late reply to the timed-out request must never answer a later one
+    script = tmp_path / "slow_first_reply.py"
+    script.write_text(SLOW_FIRST_REPLY)
+    oracle = ExternalOracle([sys.executable, str(script)], tiny_schema(), timeout=0.5)
+    try:
+        with pytest.raises(OracleError) as exc:
+            oracle.eval("all", Coalition.full(3))
+        assert "timed out" in str(exc.value)
+        for _ in range(2):
+            with pytest.raises(OracleError) as exc:
+                oracle.eval("all", Coalition.empty(3))
+            assert exc.value.code == "oracle-io"
+        assert oracle._proc.poll() is not None  # the child was killed
+    finally:
+        oracle.close()
+
+
 def test_external_oracle_dead_child():
     cmd = f'{sys.executable} -c "pass"'
     schema = tiny_schema()

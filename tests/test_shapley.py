@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import math
 
 import numpy as np
@@ -9,9 +11,11 @@ from hypothesis import strategies as st
 from kpshap import (
     Coalition,
     CoalitionValueOracle,
+    CountingOracle,
     DataError,
     Grouping,
     QueryBudget,
+    SyntheticModelConfig,
     SyntheticOracle,
     combined_attribution,
     exact_query_count,
@@ -301,3 +305,63 @@ def test_report_json_shape(schema, expected_grouping, synthetic_config):
     assert len(doc["intra_tables"]) == 17
     assert len(doc["group_tables"]) == 5
     assert doc["group_tables"][0]["players"] == [f"group{i}" for i in range(1, 6)]
+
+
+# --- golden reports and the budget of the stage list -------------------------
+
+
+def wide_groups_oracle():
+    """20 keypoints in groups of 9 and 11, so group means run over 8 or more
+    members; a noisy synthetic model drawn from a fixed seed."""
+    rng = np.random.default_rng(20261017)
+    names = [f"k{i}" for i in range(20)]
+    edges = [[f"k{i}", f"k{i + 1}"] for i in range(19)]
+    schema = load_schema({"names": names, "edges": edges})[0]
+    base = rng.uniform(0.5, 1.0, 20)
+    rec = rng.random((20, 20))
+    np.fill_diagonal(rec, 0.0)
+    rec /= 1.25 * rec.sum(axis=1, keepdims=True)
+    config = SyntheticModelConfig(tuple(base), tuple(map(tuple, rec)), noise_sd=0.05)
+    return SyntheticOracle(config, schema), Grouping.from_sets([range(0, 9), range(9, 20)], 20)
+
+
+@pytest.mark.parametrize(
+    "split_mode, sha256",
+    [
+        ("uniform", "3655170189a0b3d788ec58a57b8dfc6bb44a043c493e45435aa6756dcacf214c"),
+        ("proportional", "074c4194c6bb7680d91035605cae2aeee73611ba0971593311a31f544f2f14fb"),
+    ],
+    ids=["uniform", "proportional"],
+)
+def test_wide_groups_report_is_golden(split_mode, sha256):
+    oracle, grouping = wide_groups_oracle()
+    report, budget = run_group_attribution(oracle, grouping, trial=3, split_mode=split_mode)
+    text = json.dumps(report.to_json_dict(), sort_keys=True, indent=2) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == sha256
+    assert budget == QueryBudget(distinct_coalitions=2560, oracle_calls=2564)
+
+
+@st.composite
+def random_groupings(draw):
+    n = draw(st.integers(2, 12))
+    order = draw(st.permutations(range(n)))
+    sets = []
+    while order:
+        size = draw(st.integers(1, min(5, len(order))))
+        sets.append(order[:size])
+        order = order[size:]
+    return Grouping.from_sets(sets, n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_groupings())
+def test_budget_counts_agree(grouping):
+    n = grouping.n
+    names = [f"k{i}" for i in range(n)]
+    schema = load_schema({"names": names, "edges": [names[:2]]})[0]
+    base = tuple(0.5 + 0.04 * i for i in range(n))
+    rec = tuple(tuple(0.0 if i == j else 0.9 / (n - 1) for j in range(n)) for i in range(n))
+    counter = CountingOracle(SyntheticOracle(SyntheticModelConfig(base, rec), schema))
+    _, budget = run_group_attribution(counter, grouping)
+    assert counter.calls == query_count(grouping).oracle_calls == budget.oracle_calls
+    assert len(counter.coalitions) == budget.distinct_coalitions
