@@ -11,11 +11,10 @@ import csv
 import math
 import warnings
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, _csv_rows, _float_cells, _write_table
 
 
 def write_matrix_csv(path, labels, matrix, corner: str = "keypoint") -> None:
@@ -23,41 +22,26 @@ def write_matrix_csv(path, labels, matrix, corner: str = "keypoint") -> None:
     labels = list(labels)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] != len(labels):
         raise DataError(f"matrix {arr.shape} does not match {len(labels)} labels")
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow([corner] + labels)
-        for i, name in enumerate(labels):
-            w.writerow([name] + [format(float(v), ".10g") for v in arr[i]])
+    _write_table(path, [corner] + labels, zip(labels, arr))
 
 
 def read_matrix_csv(path) -> tuple[tuple[str, ...], np.ndarray]:
     """Returns (labels, matrix); the corner header cell is ignored."""
-    try:
-        with open(path, newline="") as f:
-            reader = csv.reader(f)
-            header = next(reader, None)
-            if header is None or len(header) < 2:
-                raise DataError(f"{path}: missing matrix header")
-            labels = tuple(header[1:])
-            if len(set(labels)) != len(labels):
-                raise DataError(f"{path}: duplicate column labels")
-            rows = []
-            seen = []
-            for lineno, row in enumerate(reader, start=2):
-                if len(row) != len(labels) + 1:
-                    raise DataError(
-                        f"{path}:{lineno}: row width {len(row)}, expected {len(labels) + 1}"
-                    )
-                seen.append(row[0])
-                try:
-                    rows.append([float(x) for x in row[1:]])
-                except ValueError as e:
-                    raise DataError(f"{path}:{lineno}: non-numeric cell ({e})") from None
-    except OSError as e:
-        raise DataError(f"cannot read matrix {path}: {e}") from e
+    rows = _csv_rows(path, "matrix")
+    header = next(rows, None)
+    if header is None or len(header) < 2:
+        raise DataError(f"{path}: missing matrix header")
+    labels = tuple(header[1:])
+    if len(set(labels)) != len(labels):
+        raise DataError(f"{path}: duplicate column labels")
+    seen = []
+    values = []
+    for lineno, row in enumerate(rows, start=2):
+        values.append(_float_cells(path, lineno, row, len(labels) + 1))
+        seen.append(row[0])
     if tuple(seen) != labels:
         raise DataError(f"{path}: row labels {seen} do not match column labels {list(labels)}")
-    return labels, np.asarray(rows, dtype=np.float64)
+    return labels, np.asarray(values, dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -89,7 +73,7 @@ class ConfidenceTable:
 
 
 def write_confidence_csv(path, table: ConfidenceTable) -> None:
-    with open(path, "w", newline="") as f:
+    with open(path, "w", encoding="utf-8", newline="") as f:
         w = csv.writer(f)
         w.writerow(["instance"] + list(table.names))
         for i, iid in enumerate(table.instances):
@@ -104,30 +88,18 @@ def write_confidence_csv(path, table: ConfidenceTable) -> None:
 
 def read_confidence_csv(path) -> ConfidenceTable:
     """Header: instance,<names>; empty cell = missing score."""
-    try:
-        with open(path, newline="") as f:
-            reader = csv.reader(f)
-            header = next(reader, None)
-            if header is None or len(header) < 2 or header[0] != "instance":
-                raise DataError(f"{path}: expected header instance,<keypoint names>")
-            names = tuple(header[1:])
-            instances = []
-            rows = []
-            for lineno, row in enumerate(reader, start=2):
-                if len(row) != len(names) + 1:
-                    raise DataError(
-                        f"{path}:{lineno}: row width {len(row)}, expected {len(names) + 1}"
-                    )
-                instances.append(row[0])
-                try:
-                    rows.append(
-                        [float("nan") if cell == "" else float(cell) for cell in row[1:]]
-                    )
-                except ValueError as e:
-                    raise DataError(f"{path}:{lineno}: non-numeric cell ({e})") from None
-    except OSError as e:
-        raise DataError(f"cannot read confidence table {path}: {e}") from e
-    return ConfidenceTable(names, tuple(instances), np.asarray(rows, dtype=np.float64))
+    rows = _csv_rows(path, "confidence table")
+    header = next(rows, None)
+    if header is None or len(header) < 2 or header[0] != "instance":
+        raise DataError(f"{path}: expected header instance,<keypoint names>")
+    names = tuple(header[1:])
+    instances = []
+    values = []
+    for lineno, row in enumerate(rows, start=2):
+        missing_as_nan = [cell or "nan" for cell in row]
+        values.append(_float_cells(path, lineno, missing_as_nan, len(names) + 1))
+        instances.append(row[0])
+    return ConfidenceTable(names, tuple(instances), np.asarray(values, dtype=np.float64))
 
 
 @dataclass(frozen=True)

@@ -10,14 +10,15 @@ touches only the planned rectangles, every other pixel byte stays identical.
 
 from __future__ import annotations
 
+import io
 import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, _json_document, _parse_json, _read_text
 from .grouping import Grouping
+from .images import _check_rgb
 from .perturb import _centered_rect, _round_half_up
 from .rng import generator, mix64
 from .skeleton import KeypointSchema
@@ -55,16 +56,8 @@ class PersonAnnotation:
 
 
 def parse_annotations(source, schema: KeypointSchema) -> list[PersonAnnotation]:
-    """Read a COCO-style person keypoints document (dict or path)."""
-    if isinstance(source, (str, Path)):
-        try:
-            doc = json.loads(Path(source).read_text())
-        except OSError as e:
-            raise DataError(f"cannot read annotations {source}: {e}") from e
-        except json.JSONDecodeError as e:
-            raise DataError(f"annotations {source}: invalid JSON: {e}") from e
-    else:
-        doc = source
+    """Read a COCO-style person keypoints document (path, JSON text or dict)."""
+    doc = _json_document(source, "annotations")
     if not isinstance(doc, dict) or "images" not in doc or "annotations" not in doc:
         raise DataError("annotations document must have 'images' and 'annotations'")
     images = {}
@@ -194,8 +187,30 @@ class ErasePlan:
                 int(doc["height"]),
                 rects,
             )
-        except (KeyError, TypeError, ValueError) as e:
+        except (KeyError, TypeError, ValueError, OverflowError) as e:
             raise DataError(f"bad erase plan record: {e}") from e
+
+
+def _erase_rect(
+    person: PersonAnnotation, group: int, pick: int, scale: float, fill_seed: int
+) -> EraseRect:
+    """A scale-sized rectangle centred on the person's keypoint ``pick``."""
+    x, y, _ = person.keypoints[pick]
+    w = max(1, _round_half_up(person.width * scale))
+    h = max(1, _round_half_up(person.height * scale))
+    rect = _centered_rect(x, y, w, h, person.width, person.height)
+    return EraseRect(group, pick, rect, fill_seed)
+
+
+def _person_plan(person: PersonAnnotation, rects) -> ErasePlan:
+    return ErasePlan(
+        person.image_id,
+        person.annotation_id,
+        person.file_name,
+        person.width,
+        person.height,
+        tuple(rects),
+    )
 
 
 def plan_gkr(person: PersonAnnotation, grouping: Grouping, cfg: GkrConfig) -> ErasePlan:
@@ -222,25 +237,10 @@ def plan_gkr(person: PersonAnnotation, grouping: Grouping, cfg: GkrConfig) -> Er
         if not labeled:
             continue
         pick = labeled[int(generator("gkr-pick", cfg.seed, k).integers(len(labeled)))]
-        x, y, _ = person.keypoints[pick]
-        w = max(1, _round_half_up(person.width * cfg.scales[k]))
-        h = max(1, _round_half_up(person.height * cfg.scales[k]))
         rects.append(
-            EraseRect(
-                group=k,
-                keypoint=pick,
-                rect=_centered_rect(x, y, w, h, person.width, person.height),
-                fill_seed=mix64("gkr-fill-seed", cfg.seed, k),
-            )
+            _erase_rect(person, k, pick, cfg.scales[k], mix64("gkr-fill-seed", cfg.seed, k))
         )
-    return ErasePlan(
-        person.image_id,
-        person.annotation_id,
-        person.file_name,
-        person.width,
-        person.height,
-        tuple(rects),
-    )
+    return _person_plan(person, rects)
 
 
 @dataclass(frozen=True)
@@ -260,38 +260,21 @@ class ReConfig:
 
 def plan_random_erasing(person: PersonAnnotation, cfg: ReConfig) -> ErasePlan:
     """Comparison baseline: ignores groups, erases one labeled keypoint."""
-    rects = ()
+    rects = []
     u = float(generator("re-plan", cfg.seed).random())
     if u > cfg.keep_prob:
         labeled = [j for j, (_, _, v) in enumerate(person.keypoints) if v > 0]
         if labeled:
             pick = labeled[int(generator("re-pick", cfg.seed).integers(len(labeled)))]
-            x, y, _ = person.keypoints[pick]
-            w = max(1, _round_half_up(person.width * cfg.scale))
-            h = max(1, _round_half_up(person.height * cfg.scale))
-            rects = (
-                EraseRect(
-                    group=-1,
-                    keypoint=pick,
-                    rect=_centered_rect(x, y, w, h, person.width, person.height),
-                    fill_seed=mix64("re-fill-seed", cfg.seed),
-                ),
+            rects.append(
+                _erase_rect(person, -1, pick, cfg.scale, mix64("re-fill-seed", cfg.seed))
             )
-    return ErasePlan(
-        person.image_id,
-        person.annotation_id,
-        person.file_name,
-        person.width,
-        person.height,
-        rects,
-    )
+    return _person_plan(person, rects)
 
 
 def apply_plan(image: np.ndarray, plan: ErasePlan) -> np.ndarray:
     """Fill the planned rectangles with seeded uniform byte noise."""
-    arr = np.asarray(image)
-    if arr.ndim != 3 or arr.shape[2] != 3 or arr.dtype != np.uint8:
-        raise DataError(f"expected uint8 HxWx3 image, got {arr.dtype} {arr.shape}")
+    arr = _check_rgb(image)
     h_img, w_img, _ = arr.shape
     if (w_img, h_img) != (plan.width, plan.height):
         raise DataError(
@@ -310,26 +293,19 @@ def apply_plan(image: np.ndarray, plan: ErasePlan) -> np.ndarray:
 
 
 def write_plans(path, plans) -> None:
-    with open(path, "w") as f:
+    with open(path, "w", encoding="utf-8") as f:
         for plan in plans:
             f.write(json.dumps(plan.to_json_dict(), sort_keys=True, separators=(",", ":")))
             f.write("\n")
 
 
 def read_plans(path) -> list[ErasePlan]:
-    plans = []
-    try:
-        with open(path) as f:
-            for lineno, line in enumerate(f, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    plans.append(ErasePlan.from_json_dict(json.loads(line)))
-                except json.JSONDecodeError as e:
-                    raise DataError(f"{path}:{lineno}: invalid JSON: {e}") from None
-    except OSError as e:
-        raise DataError(f"cannot read plans {path}: {e}") from e
-    return plans
+    lines = io.StringIO(_read_text(path, "plans"), newline=None)
+    return [
+        ErasePlan.from_json_dict(_parse_json(line, f"{path}:{lineno}: line"))
+        for lineno, line in enumerate(lines, start=1)
+        if line.strip()
+    ]
 
 
 OCCLUSION_BUCKETS = (0.0, 0.25, 0.5, 0.75)

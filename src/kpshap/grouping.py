@@ -48,7 +48,7 @@ class Grouping:
 
     @classmethod
     def from_sets(cls, sets, n: int) -> "Grouping":
-        groups = tuple(sorted((tuple(sorted(s)) for s in sets), key=lambda t: t[0]))
+        groups = tuple(sorted((tuple(sorted(s)) for s in sets), key=lambda t: t[:1]))
         return cls(n, groups)
 
     @property
@@ -75,7 +75,7 @@ class Grouping:
         try:
             sets = [[schema.index_of(nm) for nm in grp] for grp in doc["groups"]]
             declared = int(doc["g"])
-        except (KeyError, TypeError) as e:
+        except (KeyError, TypeError, ValueError, OverflowError) as e:
             raise DataError(f"bad grouping document: {e}") from e
         grouping = cls.from_sets(sets, schema.n)
         if grouping.g != declared:

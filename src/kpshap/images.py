@@ -60,6 +60,8 @@ def read_ppm(path) -> np.ndarray:
             raise DataError(f"{path}: bad PPM header token {data[start:pos]!r}") from None
     pos += 1  # single whitespace byte after maxval
     w, h, maxval = fields
+    if w < 1 or h < 1:
+        raise DataError(f"{path}: bad PPM size {w}x{h}")
     if maxval != 255:
         raise DataError(f"{path}: unsupported maxval {maxval}")
     need = w * h * 3
@@ -130,9 +132,17 @@ def read_png(path) -> np.ndarray:
     while pos + 8 <= len(data):
         (length,) = struct.unpack(">I", data[pos : pos + 4])
         tag = data[pos + 4 : pos + 8]
-        payload = data[pos + 8 : pos + 8 + length]
-        pos += 12 + length
+        end = pos + 12 + length
+        if end > len(data):
+            raise DataError(f"{path}: {tag!r} chunk runs past the end of the file")
+        payload = data[pos + 8 : end - 4]
+        (crc,) = struct.unpack(">I", data[end - 4 : end])
+        if zlib.crc32(payload, zlib.crc32(tag)) != crc:
+            raise DataError(f"{path}: {tag!r} chunk CRC mismatch")
+        pos = end
         if tag == b"IHDR":
+            if length != 13:
+                raise DataError(f"{path}: IHDR is {length} bytes, expected 13")
             ihdr = struct.unpack(">IIBBBBB", payload)
         elif tag == b"IDAT":
             idat += payload
@@ -141,13 +151,18 @@ def read_png(path) -> np.ndarray:
     if ihdr is None:
         raise DataError(f"{path}: missing IHDR")
     w, h, depth, color, _comp, _filt, interlace = ihdr
+    if w < 1 or h < 1:
+        raise DataError(f"{path}: bad PNG size {w}x{h}")
     if depth != 8 or color not in (2, 6) or interlace != 0:
         raise DataError(
             f"{path}: only 8-bit RGB/RGBA non-interlaced PNG supported "
             f"(depth={depth}, color={color}, interlace={interlace})"
         )
     channels = 3 if color == 2 else 4
-    raw = zlib.decompress(idat)
+    try:
+        raw = zlib.decompress(idat)
+    except zlib.error as e:
+        raise DataError(f"{path}: corrupt PNG image data: {e}") from None
     stride = w * channels
     if len(raw) != h * (stride + 1):
         raise DataError(f"{path}: PNG payload size mismatch")

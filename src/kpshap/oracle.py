@@ -25,7 +25,6 @@ KPSHAP_ORACLE_TIMEOUT (seconds) replaces the I/O timeout.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 import os
@@ -38,7 +37,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, MissingCoalitionError, OracleError, _json_document
+from .errors import (
+    DataError,
+    MissingCoalitionError,
+    OracleError,
+    _csv_rows,
+    _float_cells,
+    _json_document,
+    _write_table,
+)
 from .rng import generator
 from .skeleton import KeypointSchema
 
@@ -278,41 +285,30 @@ class TabularOracle(CoalitionValueOracle):
         return f"tabular:rows={len(self.table)},sha256={digest.hexdigest()[:16]}"
 
 
+def _oracle_header(n: int) -> list[str]:
+    return ["coalition_hex"] + [f"v_{i}" for i in range(n)]
+
+
 def load_tabular_oracle(path, schema: KeypointSchema) -> TabularOracle:
     """CSV with columns coalition_hex, v_0 .. v_{n-1}."""
     n = schema.n
-    expected = ["coalition_hex"] + [f"v_{i}" for i in range(n)]
+    rows = _csv_rows(path, "oracle table")
+    header = next(rows, None)
+    if header != _oracle_header(n):
+        raise DataError(f"oracle table header {header} does not match schema (n={n})")
     table: dict[int, np.ndarray] = {}
-    try:
-        with open(path, newline="") as f:
-            reader = csv.reader(f)
-            header = next(reader, None)
-            if header != expected:
-                raise DataError(
-                    f"oracle table header {header} does not match schema (n={n})"
-                )
-            for lineno, row in enumerate(reader, start=2):
-                if len(row) != n + 1:
-                    raise DataError(f"{path}:{lineno}: row width {len(row)}, expected {n + 1}")
-                mask = Coalition.parse_hex(row[0], n).bits
-                if mask in table:
-                    raise DataError(f"{path}:{lineno}: duplicate coalition 0x{mask:x}")
-                try:
-                    values = [float(x) for x in row[1:]]
-                except ValueError as e:
-                    raise DataError(f"{path}:{lineno}: non-numeric cell ({e})") from None
-                table[mask] = np.asarray(values)
-    except OSError as e:
-        raise DataError(f"cannot read oracle table {path}: {e}") from e
+    for lineno, row in enumerate(rows, start=2):
+        values = _float_cells(path, lineno, row, n + 1)
+        mask = Coalition.parse_hex(row[0], n).bits
+        if mask in table:
+            raise DataError(f"{path}:{lineno}: duplicate coalition 0x{mask:x}")
+        table[mask] = np.asarray(values)
     return TabularOracle(schema, table, source=str(path))
 
 
 def write_oracle_table(path, schema: KeypointSchema, table: dict[int, np.ndarray]) -> None:
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["coalition_hex"] + [f"v_{i}" for i in range(schema.n)])
-        for mask in sorted(table):
-            w.writerow([f"0x{mask:x}"] + [format(float(v), ".10g") for v in table[mask]])
+    rows = ((f"0x{mask:x}", table[mask]) for mask in sorted(table))
+    _write_table(path, _oracle_header(schema.n), rows)
 
 
 class CountingOracle(CoalitionValueOracle):

@@ -8,13 +8,12 @@ grouping.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, _csv_rows, _float_cells, _write_table
 from .oracle import Coalition, CoalitionValueOracle
 from .rng import generator, mix64
 from .skeleton import KeypointSchema, canonical_name
@@ -182,32 +181,22 @@ def oracle_table_from_delta(delta: DeltaMatrix) -> dict[int, np.ndarray]:
     return table
 
 
-def _fmt(v: float) -> str:
-    return format(float(v), ".10g")
-
-
 def write_delta_csv(path, delta: DeltaMatrix) -> None:
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["keypoint", "baseline", *delta.names])
-        for i, nm in enumerate(delta.names):
-            w.writerow(
-                [nm, _fmt(delta.baseline[i] * 100)] + [_fmt(v * 100) for v in delta.drops[i]]
-            )
+    rows = (
+        (nm, [delta.baseline[i] * 100, *(delta.drops[i] * 100)])
+        for i, nm in enumerate(delta.names)
+    )
+    _write_table(path, ["keypoint", "baseline", *delta.names], rows)
 
 
 def read_delta_csv(path, schema: KeypointSchema) -> DeltaMatrix:
     """Parse the percent-format drop table; alias spellings accepted."""
-    try:
-        with open(path, newline="") as f:
-            rows = list(csv.reader(f))
-    except OSError as e:
-        raise DataError(f"cannot read delta table {path}: {e}") from e
-    if not rows:
+    rows = _csv_rows(path, "delta table")
+    header = next(rows, None)
+    if header is None:
         raise DataError(f"delta table {path} is empty")
-    header = [canonical_name(c.strip()) for c in rows[0]]
-    expected = ["keypoint", "baseline", *schema.names]
-    if header != expected:
+    header = [canonical_name(c.strip()) for c in header]
+    if header != ["keypoint", "baseline", *schema.names]:
         raise DataError(
             f"delta header {header[:4]}... does not match schema columns"
         )
@@ -215,18 +204,14 @@ def read_delta_csv(path, schema: KeypointSchema) -> DeltaMatrix:
     baseline = np.full(n, np.nan)
     drops = np.full((n, n), np.nan)
     seen = set()
-    for lineno, row in enumerate(rows[1:], start=2):
-        if len(row) != n + 2:
-            raise DataError(f"{path}:{lineno}: row width {len(row)}, expected {n + 2}")
+    for lineno, row in enumerate(rows, start=2):
+        values = _float_cells(path, lineno, row, n + 2)
         i = schema.index_of(row[0].strip())
         if i in seen:
             raise DataError(f"{path}:{lineno}: duplicate row for {schema.names[i]}")
         seen.add(i)
-        try:
-            baseline[i] = float(row[1]) / 100.0
-            drops[i] = [float(x) / 100.0 for x in row[2:]]
-        except ValueError as e:
-            raise DataError(f"{path}:{lineno}: non-numeric cell ({e})") from None
+        baseline[i] = values[0] / 100.0
+        drops[i] = [v / 100.0 for v in values[1:]]
     if len(seen) != n:
         missing = [schema.names[i] for i in range(n) if i not in seen]
         raise DataError(f"delta table missing rows for: {', '.join(missing)}")

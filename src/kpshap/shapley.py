@@ -16,13 +16,12 @@ budget is the summed stage sizes.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, _csv_rows, _float_cells, _write_table
 from .grouping import Grouping
 from .oracle import Coalition, CoalitionValueOracle
 from .rng import generator
@@ -31,6 +30,8 @@ from .skeleton import KeypointSchema
 MAX_PLAYERS = 20
 
 SPLIT_MODES = ("uniform", "proportional")
+
+_GAME_HEADER = ["coalition_hex", "value"]
 
 
 @dataclass(frozen=True)
@@ -153,39 +154,31 @@ def read_game_csv(path) -> tuple[int, np.ndarray]:
     n is inferred from the row count, so the table must be complete.
     Returns (n, values indexed by bitmask).
     """
-    rows: dict[int, float] = {}
-    try:
-        with open(path, newline="") as f:
-            reader = csv.reader(f)
-            header = next(reader, None)
-            if header != ["coalition_hex", "value"]:
-                raise DataError(f"{path}: expected header coalition_hex,value, got {header}")
-            for lineno, row in enumerate(reader, start=2):
-                if len(row) != 2:
-                    raise DataError(f"{path}:{lineno}: row width {len(row)}, expected 2")
-                try:
-                    mask = int(row[0], 16)
-                except ValueError:
-                    raise DataError(f"{path}:{lineno}: bad coalition hex {row[0]!r}") from None
-                if mask < 0:
-                    raise DataError(f"{path}:{lineno}: negative coalition {row[0]!r}")
-                if mask in rows:
-                    raise DataError(f"{path}:{lineno}: duplicate coalition 0x{mask:x}")
-                try:
-                    rows[mask] = float(row[1])
-                except ValueError as e:
-                    raise DataError(f"{path}:{lineno}: non-numeric value ({e})") from None
-    except OSError as e:
-        raise DataError(f"cannot read game table {path}: {e}") from e
-    count = len(rows)
+    rows = _csv_rows(path, "game table")
+    header = next(rows, None)
+    if header != _GAME_HEADER:
+        raise DataError(f"{path}: expected header coalition_hex,value, got {header}")
+    values: dict[int, float] = {}
+    for lineno, row in enumerate(rows, start=2):
+        (value,) = _float_cells(path, lineno, row, 2)
+        try:
+            mask = int(row[0], 16)
+        except ValueError:
+            raise DataError(f"{path}:{lineno}: bad coalition hex {row[0]!r}") from None
+        if mask < 0:
+            raise DataError(f"{path}:{lineno}: negative coalition {row[0]!r}")
+        if mask in values:
+            raise DataError(f"{path}:{lineno}: duplicate coalition 0x{mask:x}")
+        values[mask] = value
+    count = len(values)
     if count < 2 or count & (count - 1):
         raise DataError(f"{path}: {count} rows, expected a complete 2^n table")
     n = count.bit_length() - 1
     _check_player_count(n)
-    if set(rows) != set(range(count)):
-        missing = min(set(range(count)) - set(rows))
+    if set(values) != set(range(count)):
+        missing = min(set(range(count)) - set(values))
         raise DataError(f"{path}: incomplete table, e.g. missing coalition 0x{missing:x}")
-    return n, np.array([rows[m] for m in range(count)], dtype=np.float64)
+    return n, np.array([values[m] for m in range(count)], dtype=np.float64)
 
 
 def write_game_csv(path, values) -> None:
@@ -193,11 +186,7 @@ def write_game_csv(path, values) -> None:
     count = arr.shape[0]
     if arr.ndim != 1 or count < 2 or count & (count - 1):
         raise DataError(f"game table must hold 2^n scalar values, got shape {arr.shape}")
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["coalition_hex", "value"])
-        for mask in range(count):
-            w.writerow([f"0x{mask:x}", format(float(arr[mask]), ".10g")])
+    _write_table(path, _GAME_HEADER, ((f"0x{mask:x}", [v]) for mask, v in enumerate(arr)))
 
 
 def sampled_shapley(

@@ -1,10 +1,12 @@
 import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from kpshap import (
+    ErasePlan,
     RunManifest,
     default_schema,
     load_image,
@@ -13,6 +15,7 @@ from kpshap import (
     schema_digest,
     sha256_file,
     write_matrix_csv,
+    write_plans,
 )
 from kpshap.cli import main
 
@@ -95,6 +98,61 @@ def test_truncated_json_text_exit_3(capsys, fixtures_dir, tmp_path, command):
     code, _, err = run(capsys, *argv)
     assert code == 3
     assert err.startswith("error(data): ") and "not valid JSON" in err
+
+
+# bytes of a binary file: a valid UTF-8 text never starts a sequence with 0x80
+NOT_UTF8 = b"\x7fELF\x02\x01\x01\x00" + bytes(range(256)) * 4
+
+
+def _unreadable_input_argv(case, fixtures_dir, tmp_path):
+    bad = str(tmp_path / "input.bin")
+    Path(bad).write_bytes(NOT_UTF8)
+    groups = str(fixtures_dir / "expected_groups.json")
+    out = str(tmp_path / "out")
+    if case == "gkr apply --images (truncated PNG)":
+        images = tmp_path / "images"
+        images.mkdir()
+        pixels = np.random.default_rng(0).integers(0, 256, (12, 16, 3), dtype=np.uint8)
+        save_image(images / "a.png", pixels)
+        png = (images / "a.png").read_bytes()
+        (images / "a.png").write_bytes(png[: len(png) // 2])
+        bad = str(tmp_path / "plans.jsonl")
+        write_plans(bad, [ErasePlan(0, 0, "a.png", 16, 12, ())])
+        return ["gkr", "apply", "--plans", bad, "--images", str(images), "--out", out]
+    return {
+        "exact --game": ["exact", "--game", bad],
+        "cluster --delta": ["cluster", "--delta", bad, "--out", out],
+        "corr --table": ["corr", "--table", bad, "--out", out],
+        "shapley --oracle-table": ["shapley", "--oracle-table", bad, "--groups", groups]
+        + ["--out", out],
+        "shapley --groups": ["shapley", "--synthetic", str(fixtures_dir / "synthetic17.json")]
+        + ["--groups", bad, "--out", out],
+        "gkr plan --annotations": ["gkr", "plan", "--annotations", bad, "--groups", groups]
+        + ["--out", out],
+        "gkr apply --plans": ["gkr", "apply", "--plans", bad, "--images", out, "--out", out],
+    }[case]
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        "exact --game",
+        "cluster --delta",
+        "corr --table",
+        "shapley --oracle-table",
+        "shapley --groups",
+        "gkr plan --annotations",
+        "gkr apply --plans",
+        "gkr apply --images (truncated PNG)",
+    ],
+)
+def test_unreadable_input_exit_3(capsys, fixtures_dir, tmp_path, case):
+    # a binary file where a text input belongs, or a cut-off image, is a
+    # data error: exit 3 with one error line, never a traceback
+    code, _, err = run(capsys, *_unreadable_input_argv(case, fixtures_dir, tmp_path))
+    assert code == 3
+    assert err.startswith("error(")
+    assert "Traceback" not in err
 
 
 def test_missing_coalition_exit_4(capsys, fixtures_dir, tmp_path):

@@ -209,3 +209,57 @@ def test_load_save_dispatch(tmp_path):
         assert np.array_equal(load_image(path), img)
     with pytest.raises(DataError):
         save_image(tmp_path / "a.jpg", img)
+
+
+def _chunk(tag, payload):
+    body = tag + payload
+    return struct.pack(">I", len(payload)) + body + struct.pack(">I", zlib.crc32(body))
+
+
+PNG_SIGNATURE = b"\x89PNG\r\n\x1a\n"
+IHDR_2X2 = _chunk(b"IHDR", struct.pack(">IIBBBBB", 2, 2, 8, 2, 0, 0, 0))
+
+
+def _png_bytes(tmp_path):
+    path = tmp_path / "ok.png"
+    write_png(path, random_image(8, 8, 9))
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        pytest.param(lambda png: png[: len(png) // 2], id="truncated"),
+        pytest.param(lambda png: png[: 8 + 8 + 5], id="cut-inside-ihdr"),
+        pytest.param(lambda png: png[:-20] + bytes([png[-20] ^ 1]) + png[-19:], id="bad-crc"),
+        pytest.param(
+            lambda png: PNG_SIGNATURE + _chunk(b"IHDR", bytes(12)) + _chunk(b"IEND", b""),
+            id="short-ihdr",
+        ),
+        pytest.param(
+            lambda png: PNG_SIGNATURE + IHDR_2X2 + _chunk(b"IDAT", b"not zlib data"),
+            id="bad-zlib",
+        ),
+        pytest.param(
+            lambda png: PNG_SIGNATURE + IHDR_2X2 + _chunk(b"IDAT", zlib.compress(bytes(14))[:-3]),
+            id="truncated-zlib",
+        ),
+        pytest.param(
+            lambda png: PNG_SIGNATURE + IHDR_2X2 + struct.pack(">I", 99) + b"IDAT" + bytes(16),
+            id="length-past-end",
+        ),
+    ],
+)
+def test_png_rejects_corrupt_files(tmp_path, corrupt):
+    path = tmp_path / "bad.png"
+    path.write_bytes(corrupt(_png_bytes(tmp_path)))
+    with pytest.raises(DataError):
+        read_png(path)
+
+
+@pytest.mark.parametrize("size", [b"-1 -1", b"0 3", b"3 0"])
+def test_ppm_rejects_non_positive_size(tmp_path, size):
+    path = tmp_path / "bad.ppm"
+    path.write_bytes(b"P6\n" + size + b"\n255\n" + bytes(27))
+    with pytest.raises(DataError):
+        read_ppm(path)
