@@ -7,14 +7,13 @@ Matrices are square and row labels must repeat the column labels in order.
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, _csv_rows, _float_cells, _write_table
+from .errors import DataError, _csv_rows, _csv_text, _float_cells, _write_bytes, _write_table
 
 
 def write_matrix_csv(path, labels, matrix, corner: str = "keypoint") -> None:
@@ -22,7 +21,7 @@ def write_matrix_csv(path, labels, matrix, corner: str = "keypoint") -> None:
     labels = list(labels)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] != len(labels):
         raise DataError(f"matrix {arr.shape} does not match {len(labels)} labels")
-    _write_table(path, [corner] + labels, zip(labels, arr))
+    _write_table(path, [corner] + labels, zip(labels, arr), "matrix")
 
 
 def read_matrix_csv(path) -> tuple[tuple[str, ...], np.ndarray]:
@@ -73,17 +72,12 @@ class ConfidenceTable:
 
 
 def write_confidence_csv(path, table: ConfidenceTable) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["instance"] + list(table.names))
-        for i, iid in enumerate(table.instances):
-            w.writerow(
-                [iid]
-                + [
-                    "" if math.isnan(v) else format(float(v), ".10g")
-                    for v in table.values[i]
-                ]
-            )
+    """Like the numeric tables, but a missing (NaN) score is an empty cell."""
+    rows = (
+        [iid] + ["" if math.isnan(v) else format(float(v), ".10g") for v in values]
+        for iid, values in zip(table.instances, table.values)
+    )
+    _write_bytes(path, _csv_text([["instance", *table.names], *rows]), "confidence table")
 
 
 def read_confidence_csv(path) -> ConfidenceTable:

@@ -9,7 +9,6 @@ Exit codes: 0 ok, 2 usage, 3 schema/data error, 4 oracle error.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import warnings
 from pathlib import Path
@@ -22,7 +21,7 @@ from .analysis import (
     render_heatmap,
     write_matrix_csv,
 )
-from .errors import DataError, KpshapError, OracleError
+from .errors import DataError, KpshapError, OracleError, _json_text, _write_bytes
 from .gkr import (
     GkrConfig,
     apply_plan,
@@ -140,10 +139,6 @@ def _emit_manifest(ns, command, *, inputs, outputs, seed=None, schema_pair=None,
     return path
 
 
-def _write_json(path, doc) -> None:
-    Path(path).write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
-
-
 def cmd_interdep(ns) -> int:
     schema, skeleton, schema_path = _load_schema_arg(ns.schema)
     instances = _parse_instances(ns.instances)
@@ -172,7 +167,7 @@ def cmd_cluster(ns) -> int:
     delta = read_delta_csv(ns.delta, schema)
     s = interdependency(perturbation_influence(delta), keypoint_connectivity(schema, skeleton))
     grouping = cluster_matrix(s, g=ns.g, linkage=ns.linkage)
-    _write_json(ns.out, grouping.to_json_dict(schema))
+    _write_bytes(ns.out, _json_text(grouping.to_json_dict(schema)), "grouping")
     path = _emit_manifest(
         ns,
         "cluster",
@@ -200,7 +195,7 @@ def cmd_shapley(ns) -> int:
             trial=ns.seed,
             split_mode=ns.split,
         )
-    _write_json(ns.out, report.to_json_dict())
+    _write_bytes(ns.out, _json_text(report.to_json_dict()), "report")
     path = _emit_manifest(
         ns,
         "shapley",
@@ -224,7 +219,7 @@ def cmd_exact(ns) -> int:
         print(f"{name} {phi:.10g}")
     print(f"efficiency_gap {table.efficiency_gap():.3g}")
     if ns.out:
-        _write_json(ns.out, table.to_json_dict())
+        _write_bytes(ns.out, _json_text(table.to_json_dict()), "result")
         _emit_manifest(ns, "exact", inputs=[ns.game], outputs=[ns.out])
     return 0
 
@@ -269,7 +264,7 @@ def cmd_masks(ns) -> int:
         )
     text = "\n".join(lines) + "\n"
     if ns.out:
-        Path(ns.out).write_text(text)
+        _write_bytes(ns.out, text, "masks")
         _emit_manifest(ns, "masks", inputs=[], outputs=[ns.out], seed=ns.seed)
     else:
         sys.stdout.write(text)
@@ -313,7 +308,10 @@ def cmd_gkr_apply(ns) -> int:
     plans = read_plans(ns.plans)
     images_dir = Path(ns.images)
     out_dir = Path(ns.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise DataError(f"cannot create output directory {out_dir}: {e}") from e
     by_file: dict[str, list] = {}
     for plan in plans:
         by_file.setdefault(plan.file_name, []).append(plan)
@@ -341,9 +339,9 @@ def cmd_gkr_stats(ns) -> int:
     schema, _, _ = _load_schema_arg(ns.schema)
     persons = parse_annotations(ns.annotations, schema)
     stats = occlusion_stats(persons)
-    text = json.dumps(stats, sort_keys=True, indent=2) + "\n"
+    text = _json_text(stats)
     if ns.out:
-        Path(ns.out).write_text(text)
+        _write_bytes(ns.out, text, "stats")
         _emit_manifest(ns, "gkr stats", inputs=[ns.annotations], outputs=[ns.out])
     else:
         sys.stdout.write(text)
@@ -365,7 +363,7 @@ def cmd_corr(ns) -> int:
 
 def cmd_render(ns) -> int:
     labels, matrix = read_matrix_csv(ns.matrix)
-    Path(ns.out).write_text(render_heatmap(matrix, labels))
+    _write_bytes(ns.out, render_heatmap(matrix, labels), "heatmap")
     path = _emit_manifest(ns, "render", inputs=[ns.matrix], outputs=[ns.out])
     print(f"wrote {ns.out}, {path}")
     return 0

@@ -2,10 +2,10 @@
 
 Each error carries a short machine-readable ``code`` (kebab-case) so the CLI
 can print ``error(<code>): <detail>`` and map the class to an exit status.
-Text input is read here too: every file is decoded as UTF-8 by
-``_read_text``, and the JSON-document loader and the CSV row reader build on
-it, so every reader maps read, decode and parse failures onto the taxonomy
-the same way. The numeric CSV tables share one row parser and one writer.
+Every file is read by ``_read_bytes`` and written by ``_write_bytes`` here
+too, text as UTF-8 with line endings kept, so read, decode, parse and write
+failures map onto the taxonomy the same way in every reader and writer. The
+numeric CSV tables share one row parser and one writer.
 """
 
 from __future__ import annotations
@@ -25,9 +25,6 @@ class KpshapError(Exception):
         if code is not None:
             self.code = code
         super().__init__(detail)
-
-    def __str__(self) -> str:  # "error(code): detail" is assembled by the CLI
-        return super().__str__()
 
 
 class SchemaError(KpshapError):
@@ -54,16 +51,30 @@ class MissingCoalitionError(OracleError):
     code = "missing-coalition"
 
 
-def _read_text(path, what: str, error=DataError, code=None) -> str:
-    """A whole UTF-8 text file, line endings kept as written.
-
-    Read and decode failures raise ``error`` with ``code``.
-    """
+def _read_bytes(path, what: str, error=DataError, code=None) -> bytes:
+    """A whole file's bytes; a read failure raises ``error`` with ``code``."""
     try:
-        with open(path, encoding="utf-8", newline="") as f:
+        with open(path, "rb") as f:
             return f.read()
-    except (OSError, UnicodeDecodeError) as e:
+    except OSError as e:
         raise error(f"cannot read {what} {path}: {e}", code=code) from e
+
+
+def _read_text(path, what: str, error=DataError, code=None) -> str:
+    """A whole UTF-8 text file, line endings kept; a decode failure raises ``error`` too."""
+    try:
+        return _read_bytes(path, what, error, code).decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise error(f"cannot read {what} {path}: {e}", code=code) from e
+
+
+def _write_bytes(path, data, what: str) -> None:
+    """Store ``data`` at ``path``, a str as UTF-8 with line endings kept; OSError is a DataError."""
+    try:
+        with open(path, "wb") as f:
+            f.write(data.encode("utf-8") if isinstance(data, str) else data)
+    except OSError as e:
+        raise DataError(f"cannot write {what} {path}: {e}") from e
 
 
 def _parse_json(text: str, where: str, error=DataError, code=None):
@@ -71,6 +82,11 @@ def _parse_json(text: str, where: str, error=DataError, code=None):
         return json.loads(text)
     except (ValueError, RecursionError) as e:
         raise error(f"{where} is not valid JSON: {e}", code=code) from e
+
+
+def _json_text(doc) -> str:
+    """The indented JSON form every JSON output uses: sorted keys, final newline."""
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
 def _json_document(source, what: str, error=DataError, io_code=None, parse_code=None):
@@ -111,10 +127,14 @@ def _float_cells(path, lineno: int, row, width: int) -> list[float]:
         raise DataError(f"{path}:{lineno}: non-numeric cell ({e})") from None
 
 
-def _write_table(path, header, rows) -> None:
+def _csv_text(rows) -> str:
+    """CSV text of the rows, with the csv module's \\r\\n line endings."""
+    buf = io.StringIO(newline="")
+    csv.writer(buf).writerows(rows)
+    return buf.getvalue()
+
+
+def _write_table(path, header, rows, what: str) -> None:
     """CSV: the header, then each (label, values) row with values as .10g."""
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(header)
-        for label, values in rows:
-            w.writerow([label] + [format(float(v), ".10g") for v in values])
+    lines = ([label] + [format(float(v), ".10g") for v in values] for label, values in rows)
+    _write_bytes(path, _csv_text([header, *lines]), what)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, _json_document, _parse_json, _read_text
+from .errors import DataError, _json_document, _parse_json, _read_text, _write_bytes
 from .grouping import Grouping
 from .images import _check_rgb
 from .perturb import _centered_rect, _round_half_up
@@ -58,13 +58,15 @@ class PersonAnnotation:
 def parse_annotations(source, schema: KeypointSchema) -> list[PersonAnnotation]:
     """Read a COCO-style person keypoints document (path, JSON text or dict)."""
     doc = _json_document(source, "annotations")
-    if not isinstance(doc, dict) or "images" not in doc or "annotations" not in doc:
-        raise DataError("annotations document must have 'images' and 'annotations'")
+    if not isinstance(doc, dict) or not all(
+        isinstance(doc.get(key), list) for key in ("images", "annotations")
+    ):
+        raise DataError("annotations document must have 'images' and 'annotations' lists")
     images = {}
     for img in doc["images"]:
         try:
             images[img["id"]] = (img["file_name"], int(img["width"]), int(img["height"]))
-        except (KeyError, TypeError) as e:
+        except (KeyError, TypeError, ValueError, OverflowError) as e:
             raise DataError(f"bad images entry {img!r}: {e}") from e
     persons = []
     n = schema.n
@@ -73,9 +75,10 @@ def parse_annotations(source, schema: KeypointSchema) -> list[PersonAnnotation]:
             image_id = ann["image_id"]
             ann_id = ann["id"]
             flat = list(ann["keypoints"])
+            known = image_id in images
         except (KeyError, TypeError) as e:
             raise DataError(f"bad annotation entry: {e}") from e
-        if image_id not in images:
+        if not known:
             raise DataError(
                 f"annotation {ann_id} references unknown image_id {image_id}",
                 code="dangling-image",
@@ -85,10 +88,13 @@ def parse_annotations(source, schema: KeypointSchema) -> list[PersonAnnotation]:
                 f"annotation {ann_id}: keypoint array length {len(flat)}, expected {3 * n}"
             )
         file_name, width, height = images[image_id]
-        kps = tuple(
-            (float(flat[3 * i]), float(flat[3 * i + 1]), int(flat[3 * i + 2]))
-            for i in range(n)
-        )
+        try:
+            kps = tuple(
+                (float(flat[3 * i]), float(flat[3 * i + 1]), int(flat[3 * i + 2]))
+                for i in range(n)
+            )
+        except (TypeError, ValueError, OverflowError) as e:
+            raise DataError(f"annotation {ann_id}: bad keypoint value: {e}") from e
         persons.append(
             PersonAnnotation(image_id, ann_id, file_name, width, height, kps)
         )
@@ -293,10 +299,8 @@ def apply_plan(image: np.ndarray, plan: ErasePlan) -> np.ndarray:
 
 
 def write_plans(path, plans) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        for plan in plans:
-            f.write(json.dumps(plan.to_json_dict(), sort_keys=True, separators=(",", ":")))
-            f.write("\n")
+    lines = (json.dumps(p.to_json_dict(), sort_keys=True, separators=(",", ":")) for p in plans)
+    _write_bytes(path, "".join(line + "\n" for line in lines), "plans")
 
 
 def read_plans(path) -> list[ErasePlan]:

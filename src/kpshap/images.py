@@ -9,12 +9,13 @@ writes and what pose datasets typically provide after conversion.
 from __future__ import annotations
 
 import struct
+import sys
 import zlib
 from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, _read_bytes, _write_bytes
 
 
 def _check_rgb(image) -> np.ndarray:
@@ -27,16 +28,11 @@ def _check_rgb(image) -> np.ndarray:
 def write_ppm(path, image) -> None:
     arr = _check_rgb(image)
     h, w, _ = arr.shape
-    with open(path, "wb") as f:
-        f.write(b"P6\n%d %d\n255\n" % (w, h))
-        f.write(arr.tobytes())
+    _write_bytes(path, b"P6\n%d %d\n255\n" % (w, h) + arr.tobytes(), "image")
 
 
 def read_ppm(path) -> np.ndarray:
-    try:
-        data = Path(path).read_bytes()
-    except OSError as e:
-        raise DataError(f"cannot read image {path}: {e}") from e
+    data = _read_bytes(path, "image")
     if not data.startswith(b"P6"):
         raise DataError(f"{path}: not a binary PPM (P6)")
     # header = magic + 3 integer tokens, with #-comments allowed between them
@@ -85,11 +81,9 @@ def write_png(path, image) -> None:
     h, w, _ = arr.shape
     raw = b"".join(b"\x00" + arr[y].tobytes() for y in range(h))
     ihdr = struct.pack(">IIBBBBB", w, h, 8, 2, 0, 0, 0)
-    with open(path, "wb") as f:
-        f.write(b"\x89PNG\r\n\x1a\n")
-        f.write(_chunk(b"IHDR", ihdr))
-        f.write(_chunk(b"IDAT", zlib.compress(raw, 9)))
-        f.write(_chunk(b"IEND", b""))
+    idat = _chunk(b"IDAT", zlib.compress(raw, 9))
+    png = b"\x89PNG\r\n\x1a\n" + _chunk(b"IHDR", ihdr) + idat + _chunk(b"IEND", b"")
+    _write_bytes(path, png, "image")
 
 
 def _unfilter(kind: int, row: bytearray, prev: bytes, bpp: int) -> None:
@@ -120,10 +114,7 @@ def _unfilter(kind: int, row: bytearray, prev: bytes, bpp: int) -> None:
 
 
 def read_png(path) -> np.ndarray:
-    try:
-        data = Path(path).read_bytes()
-    except OSError as e:
-        raise DataError(f"cannot read image {path}: {e}") from e
+    data = _read_bytes(path, "image")
     if not data.startswith(b"\x89PNG\r\n\x1a\n"):
         raise DataError(f"{path}: not a PNG")
     pos = 8
@@ -159,12 +150,15 @@ def read_png(path) -> np.ndarray:
             f"(depth={depth}, color={color}, interlace={interlace})"
         )
     channels = 3 if color == 2 else 4
+    stride = w * channels
+    # inflate at most one byte past the size IHDR declares, so a stream that
+    # inflates to far more than that is refused without being held in memory
+    inflater = zlib.decompressobj()
     try:
-        raw = zlib.decompress(idat)
+        raw = inflater.decompress(idat, min(h * (stride + 1) + 1, sys.maxsize))
     except zlib.error as e:
         raise DataError(f"{path}: corrupt PNG image data: {e}") from None
-    stride = w * channels
-    if len(raw) != h * (stride + 1):
+    if not inflater.eof or len(raw) != h * (stride + 1):
         raise DataError(f"{path}: PNG payload size mismatch")
     out = np.empty((h, w, channels), dtype=np.uint8)
     prev = bytes(stride)

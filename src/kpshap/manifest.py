@@ -10,11 +10,10 @@ the machine: two identical runs must produce identical manifests.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import DataError, _json_document
+from .errors import DataError, _json_document, _json_text, _write_bytes
 
 TOOL_NAME = "kpshap"
 
@@ -68,7 +67,7 @@ class RunManifest:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n"
+        return _json_text(self.to_json_dict())
 
     @classmethod
     def from_json(cls, source) -> "RunManifest":
@@ -116,4 +115,4 @@ def build_manifest(
 
 
 def write_manifest(path, manifest: RunManifest) -> None:
-    Path(path).write_text(manifest.to_json())
+    _write_bytes(path, manifest.to_json(), "manifest")

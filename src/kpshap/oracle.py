@@ -308,7 +308,7 @@ def load_tabular_oracle(path, schema: KeypointSchema) -> TabularOracle:
 
 def write_oracle_table(path, schema: KeypointSchema, table: dict[int, np.ndarray]) -> None:
     rows = ((f"0x{mask:x}", table[mask]) for mask in sorted(table))
-    _write_table(path, _oracle_header(schema.n), rows)
+    _write_table(path, _oracle_header(schema.n), rows, "oracle table")
 
 
 class CountingOracle(CoalitionValueOracle):

@@ -186,7 +186,7 @@ def write_delta_csv(path, delta: DeltaMatrix) -> None:
         (nm, [delta.baseline[i] * 100, *(delta.drops[i] * 100)])
         for i, nm in enumerate(delta.names)
     )
-    _write_table(path, ["keypoint", "baseline", *delta.names], rows)
+    _write_table(path, ["keypoint", "baseline", *delta.names], rows, "delta table")
 
 
 def read_delta_csv(path, schema: KeypointSchema) -> DeltaMatrix:

@@ -186,7 +186,8 @@ def write_game_csv(path, values) -> None:
     count = arr.shape[0]
     if arr.ndim != 1 or count < 2 or count & (count - 1):
         raise DataError(f"game table must hold 2^n scalar values, got shape {arr.shape}")
-    _write_table(path, _GAME_HEADER, ((f"0x{mask:x}", [v]) for mask, v in enumerate(arr)))
+    rows = ((f"0x{mask:x}", [v]) for mask, v in enumerate(arr))
+    _write_table(path, _GAME_HEADER, rows, "game table")
 
 
 def sampled_shapley(

@@ -114,7 +114,7 @@ def load_schema(source) -> tuple[KeypointSchema, Skeleton]:
 
 def default_schema() -> tuple[KeypointSchema, Skeleton]:
     """The packaged 17-keypoint human schema."""
-    text = resources.files("kpshap").joinpath("schemas/coco17.json").read_text()
+    text = resources.files("kpshap").joinpath("schemas/coco17.json").read_text(encoding="utf-8")
     return load_schema(json.loads(text))
 
 

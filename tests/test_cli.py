@@ -1,10 +1,14 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import kpshap
 from kpshap import (
     ErasePlan,
     RunManifest,
@@ -153,6 +157,104 @@ def test_unreadable_input_exit_3(capsys, fixtures_dir, tmp_path, case):
     assert code == 3
     assert err.startswith("error(")
     assert "Traceback" not in err
+
+
+def _persons_json(path):
+    schema, _ = default_schema()
+    kps = []
+    for j in range(schema.n):
+        kps += [8.0 + 3.0 * j, 10.0 + (j % 4) * 9.0, 2]
+    doc = {
+        "images": [{"id": 0, "width": 64, "height": 48, "file_name": "a.ppm"}],
+        "annotations": [{"id": 7, "image_id": 0, "keypoints": kps}],
+    }
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def _unwritable_output_argv(case, fixtures_dir, tmp_path):
+    missing = tmp_path / "missing"  # never created: every output below it fails
+    synthetic = str(fixtures_dir / "synthetic17.json")
+    groups = str(fixtures_dir / "expected_groups.json")
+    persons = _persons_json(tmp_path / "persons.json")
+    matrix = tmp_path / "matrix.csv"
+    write_matrix_csv(matrix, ["a", "b"], np.eye(2))
+    table = tmp_path / "conf.csv"
+    table.write_text("instance,a,b\n0,0.1,0.9\n1,0.4,0.3\n2,0.8,0.5\n")
+    if case == "gkr apply --out (existing file)":
+        images = tmp_path / "images"
+        images.mkdir()
+        save_image(images / "a.ppm", np.zeros((12, 16, 3), dtype=np.uint8))
+        plans = tmp_path / "plans.jsonl"
+        write_plans(plans, [ErasePlan(0, 0, "a.ppm", 16, 12, ())])
+        taken = tmp_path / "taken"
+        taken.write_bytes(b"")
+        return ["gkr", "apply", "--plans", str(plans), "--images", str(images), "--out", str(taken)]
+    out = str(missing / "out")
+    return {
+        "interdep": ["interdep", "--synthetic", synthetic, "--instances", "0"]
+        + ["--out-delta", out, "--out-pi", str(tmp_path / "pi.csv")],
+        "cluster": ["cluster", "--delta", str(fixtures_dir / "table2.csv"), "--out", out],
+        "shapley": ["shapley", "--synthetic", synthetic, "--groups", groups]
+        + ["--instances", "0", "--out", out],
+        "exact": ["exact", "--game", str(fixtures_dir / "glove3.csv"), "--out", out],
+        "masks": ["masks", "--keypoint", "5,5", "--width", "16", "--height", "12", "--out", out],
+        "gkr plan": ["gkr", "plan", "--annotations", persons, "--groups", groups, "--out", out],
+        "gkr stats": ["gkr", "stats", "--annotations", persons, "--out", out],
+        "corr": ["corr", "--table", str(table), "--out", out],
+        "render": ["render", "--matrix", str(matrix), "--out", out],
+        "cluster --manifest": ["cluster", "--delta", str(fixtures_dir / "table2.csv")]
+        + ["--out", str(tmp_path / "g.json"), "--manifest", out],
+    }[case]
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        "interdep",
+        "cluster",
+        "shapley",
+        "exact",
+        "masks",
+        "gkr plan",
+        "gkr stats",
+        "corr",
+        "render",
+        "cluster --manifest",
+        "gkr apply --out (existing file)",
+    ],
+)
+def test_unwritable_output_exit_3(capsys, fixtures_dir, tmp_path, case):
+    # an output in a directory that does not exist, or an output directory
+    # that is a file, is a data error: exit 3 with one error line
+    code, _, err = run(capsys, *_unwritable_output_argv(case, fixtures_dir, tmp_path))
+    assert code == 3
+    assert err.startswith("error(")
+    assert "Traceback" not in err
+
+
+def test_render_writes_utf8_whatever_the_locale(tmp_path):
+    # the matrix is read as UTF-8, so the SVG is written as UTF-8 too, even
+    # where the locale encoding is ASCII
+    src = tmp_path / "matrix.csv"
+    write_matrix_csv(src, ["épaule", "nose"], np.eye(2))
+    svg = tmp_path / "heatmap.svg"
+    package_root = str(Path(kpshap.__file__).resolve().parent.parent)
+    env = {
+        **os.environ,
+        "LC_ALL": "C",
+        "PYTHONUTF8": "0",
+        "PYTHONCOERCECLOCALE": "0",
+        "PYTHONPATH": os.pathsep.join([package_root, os.environ.get("PYTHONPATH", "")]),
+    }
+    proc = subprocess.run(
+        [sys.executable, "-m", "kpshap", "render", "--matrix", str(src), "--out", str(svg)],
+        env=env,
+        capture_output=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr.decode(errors="replace")
+    assert "épaule" in svg.read_bytes().decode("utf-8")
 
 
 def test_missing_coalition_exit_4(capsys, fixtures_dir, tmp_path):

@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -255,6 +256,25 @@ def test_png_rejects_corrupt_files(tmp_path, corrupt):
     path.write_bytes(corrupt(_png_bytes(tmp_path)))
     with pytest.raises(DataError):
         read_png(path)
+
+
+def test_png_inflate_stops_at_the_declared_size(tmp_path):
+    # 64 MiB of zeros deflate to about 65 KB, but IHDR declares one pixel:
+    # the reader must refuse the stream without inflating all of it
+    deflate = zlib.compressobj(9)
+    block = bytes(1 << 20)
+    idat = b"".join(deflate.compress(block) for _ in range(64)) + deflate.flush()
+    ihdr = _chunk(b"IHDR", struct.pack(">IIBBBBB", 1, 1, 8, 2, 0, 0, 0))
+    path = tmp_path / "bomb.png"
+    path.write_bytes(PNG_SIGNATURE + ihdr + _chunk(b"IDAT", idat) + _chunk(b"IEND", b""))
+    tracemalloc.start()
+    try:
+        with pytest.raises(DataError):
+            read_png(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20
 
 
 @pytest.mark.parametrize("size", [b"-1 -1", b"0 3", b"3 0"])

@@ -5,6 +5,7 @@ each reader; anything other than a result, DataError or SchemaError (a
 UnicodeDecodeError, csv.Error, zlib.error, struct.error, ...) fails.
 """
 
+import json
 import struct
 import zlib
 
@@ -17,6 +18,7 @@ from kpshap import (
     Grouping,
     SchemaError,
     default_schema,
+    parse_annotations,
     read_delta_csv,
     read_game_csv,
     read_matrix_csv,
@@ -35,6 +37,15 @@ PNG_START = (
     + IHDR
     + struct.pack(">I", zlib.crc32(b"IHDR" + IHDR))
 )
+IMAGE = {"id": 0, "file_name": "a.png", "width": 4, "height": 4}
+ANNOTATION = {"id": 1, "image_id": 0, "keypoints": [1, 1, 2] * SCHEMA.n}
+
+
+def annotations_doc(image=IMAGE, annotation=None) -> bytes:
+    annotations = [annotation] if annotation else []
+    return json.dumps({"images": [image], "annotations": annotations}).encode()
+
+
 PLAN_LINE = (
     b'{"annotation_id":1,"file_name":"a.png","height":4,"image_id":1,'
     b'"rects":[{"fill_seed":1,"group":0,"keypoint":0,"rect":[0,0,1,1]}],"width":4}\n'
@@ -51,6 +62,10 @@ READERS = {
         [",".join(["keypoint", "baseline", *SCHEMA.names]).encode() + b"\nnose,"],
     ),
     "read_plans": (read_plans, [PLAN_LINE, PLAN_LINE[:40]]),
+    "parse_annotations": (
+        lambda path: parse_annotations(path, SCHEMA),
+        [b'{"images": [', annotations_doc(annotation=ANNOTATION)[:-30]],
+    ),
     "Grouping.from_json": (
         lambda path: Grouping.from_json(path, SCHEMA),
         [b'{"g": 1, "groups": [', b'{"g": "'],
@@ -95,12 +110,30 @@ def test_csv_cell_over_field_limit_is_data_error(tmp_path, name):
         ("Grouping.from_json", b'{"g": 2, "groups": [[], ["nose"]]}'),
         ("read_plans", PLAN_LINE.replace(b'"width":4', b'"width":1e999')),
         ("read_plans", b"[" * 100_000 + b"]" * 100_000 + b"\n"),
+        ("parse_annotations", annotations_doc({**IMAGE, "width": "abc"})),
+        ("parse_annotations", b'{"images": 5, "annotations": []}'),
+        ("parse_annotations", annotations_doc(annotation={**ANNOTATION, "image_id": [0]})),
+        (
+            "parse_annotations",
+            annotations_doc(annotation={**ANNOTATION, "keypoints": ["x"] * 3 * SCHEMA.n}),
+        ),
     ],
-    ids=["text-count", "infinite-count", "empty-group", "infinite-width", "deep-nesting"],
+    ids=[
+        "text-count",
+        "infinite-count",
+        "empty-group",
+        "infinite-width",
+        "deep-nesting",
+        "text-width",
+        "images-not-a-list",
+        "list-image-id",
+        "text-keypoint",
+    ],
 )
 def test_well_formed_json_of_the_wrong_shape_is_data_error(tmp_path, name, content):
     # valid JSON that random bytes almost never produce: a non-numeric or
-    # infinite count, an empty group, nesting deeper than the parser's stack
+    # infinite count, an empty group, nesting deeper than the parser's stack,
+    # a field of the wrong type
     reader, _ = READERS[name]
     path = tmp_path / "input"
     path.write_bytes(content)
