@@ -63,11 +63,18 @@ def parse_annotations(source, schema: KeypointSchema) -> list[PersonAnnotation]:
     ):
         raise DataError("annotations document must have 'images' and 'annotations' lists")
     images = {}
+    keys = set()  # stats outputs are keyed by str(id), so it must be unique too
     for img in doc["images"]:
         try:
-            images[img["id"]] = (img["file_name"], int(img["width"]), int(img["height"]))
+            image_id = img["id"]
+            entry = (img["file_name"], int(img["width"]), int(img["height"]))
+            duplicate = image_id in images or str(image_id) in keys
         except (KeyError, TypeError, ValueError, OverflowError) as e:
             raise DataError(f"bad images entry {img!r}: {e}") from e
+        if duplicate:
+            raise DataError(f"duplicate image id {image_id!r}", code="duplicate-image")
+        images[image_id] = entry
+        keys.add(str(image_id))
     persons = []
     n = schema.n
     for ann in doc["annotations"]:
@@ -342,7 +349,10 @@ def occlusion_stats(persons) -> dict:
     by_image: dict = {}
     for p in persons:
         by_image.setdefault(p.image_id, []).append(p)
-    ratios = {img: occlusion_ratio(group) for img, group in sorted(by_image.items())}
+    # numbers first, then any other id by its str(), which parse_annotations
+    # keeps unique
+    order = sorted(by_image, key=lambda i: (0, i) if isinstance(i, (int, float)) else (1, str(i)))
+    ratios = {img: occlusion_ratio(by_image[img]) for img in order}
     buckets = {edge: 0 for edge in OCCLUSION_BUCKETS}
     for ratio in ratios.values():
         buckets[bucket_for(ratio)] += 1

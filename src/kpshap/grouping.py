@@ -119,6 +119,17 @@ def cluster(
     compared. Ties are broken toward the pair whose (smallest member,
     smallest member) labels sort first, which pins the output exactly for
     any input.
+
+    The cross values of all live cluster pairs are kept in the upper
+    triangle of one matrix, indexed by each cluster's smallest member; two
+    singletons i < j start at s[i, j]. After a merge only the merged
+    cluster's values are recomputed, each as _cross(s, older, merged), the
+    orientation in which a rescan of every pair in creation order would
+    compute it, so even an "average" sum is the same float. The best pair is
+    the first maximum in row-major order, which is the tie-break above.
+    Cost: O(n^2) _cross calls and O(n^2) numpy element steps per merge, with
+    no allocation beyond the n x n matrix. An "average" that overflows to
+    NaN or to -inf for every live pair is refused.
     """
     s = np.asarray(s, dtype=np.float64)
     n = s.shape[0]
@@ -128,20 +139,19 @@ def cluster(
         raise DataError(f"group count g={g} must be in 1..{n}", code="bad-group-count")
     if linkage not in LINKAGES:
         raise DataError(f"unknown linkage {linkage!r}, pick from {LINKAGES}")
-    clusters: list[tuple[int, ...]] = [(i,) for i in range(n)]
-    while len(clusters) > g:
-        best_key = None
-        best_pair = None
-        for x in range(len(clusters)):
-            for y in range(x + 1, len(clusters)):
-                v = _cross(s, clusters[x], clusters[y], linkage)
-                lo, hi = sorted((clusters[x][0], clusters[y][0]))
-                key = (-v, lo, hi)
-                if best_key is None or key < best_key:
-                    best_key = key
-                    best_pair = (x, y)
-        x, y = best_pair
-        merged = tuple(sorted(clusters[x] + clusters[y]))
-        clusters = [c for k, c in enumerate(clusters) if k not in (x, y)]
-        clusters.append(merged)
-    return Grouping.from_sets(clusters, n)
+    if not np.all(np.isfinite(s)):
+        raise DataError("similarity contains non-finite values")
+    # the diagonal, the lower triangle and the rows of merged-away clusters
+    # hold -inf, so only live pairs can be the maximum
+    cross = np.where(np.tri(n, dtype=bool), -np.inf, s)
+    clusters: dict[int, tuple[int, ...]] = {i: (i,) for i in range(n)}
+    for _ in range(n - g):
+        x, y = divmod(int(np.argmax(cross)), n)
+        if not cross[x, y] > -np.inf:
+            raise DataError(f"{linkage} linkage overflowed on this similarity")
+        merged = tuple(sorted(clusters.pop(x) + clusters.pop(y)))
+        cross[y, :] = cross[:, y] = -np.inf
+        for k, other in clusters.items():
+            cross[min(k, x), max(k, x)] = _cross(s, other, merged, linkage)
+        clusters[x] = merged
+    return Grouping.from_sets(clusters.values(), n)

@@ -119,7 +119,7 @@ def read_png(path) -> np.ndarray:
         raise DataError(f"{path}: not a PNG")
     pos = 8
     ihdr = None
-    idat = b""
+    idat = []
     while pos + 8 <= len(data):
         (length,) = struct.unpack(">I", data[pos : pos + 4])
         tag = data[pos + 4 : pos + 8]
@@ -136,7 +136,7 @@ def read_png(path) -> np.ndarray:
                 raise DataError(f"{path}: IHDR is {length} bytes, expected 13")
             ihdr = struct.unpack(">IIBBBBB", payload)
         elif tag == b"IDAT":
-            idat += payload
+            idat.append(payload)
         elif tag == b"IEND":
             break
     if ihdr is None:
@@ -155,7 +155,7 @@ def read_png(path) -> np.ndarray:
     # inflates to far more than that is refused without being held in memory
     inflater = zlib.decompressobj()
     try:
-        raw = inflater.decompress(idat, min(h * (stride + 1) + 1, sys.maxsize))
+        raw = inflater.decompress(b"".join(idat), min(h * (stride + 1) + 1, sys.maxsize))
     except zlib.error as e:
         raise DataError(f"{path}: corrupt PNG image data: {e}") from None
     if not inflater.eof or len(raw) != h * (stride + 1):

@@ -31,7 +31,6 @@ import os
 import selectors
 import shlex
 import subprocess
-import threading
 import time
 from dataclasses import dataclass
 
@@ -319,18 +318,15 @@ class CountingOracle(CoalitionValueOracle):
         self.inner = inner
         self.calls = 0
         self.coalitions: set[int] = set()
-        self._lock = threading.Lock()
 
     def _eval(self, instances, coalition: Coalition, trial: int) -> np.ndarray:
-        with self._lock:
-            self.calls += 1
-            self.coalitions.add(coalition.bits)
+        self.calls += 1
+        self.coalitions.add(coalition.bits)
         return self.inner._eval(instances, coalition, trial)
 
     def reset(self) -> None:
-        with self._lock:
-            self.calls = 0
-            self.coalitions = set()
+        self.calls = 0
+        self.coalitions = set()
 
     def describe(self) -> str:
         return f"counting({self.inner.describe()})"
@@ -359,7 +355,6 @@ class ExternalOracle(CoalitionValueOracle):
             raise OracleError("empty oracle command", code="oracle-io")
         self.command = argv
         self.timeout = timeout
-        self._lock = threading.Lock()
         self._buf = b""
         self._broken: OracleError | None = None
         try:
@@ -438,24 +433,23 @@ class ExternalOracle(CoalitionValueOracle):
             "visible": list(coalition.indices()),
             "trial": trial,
         }
-        with self._lock:
-            if self._broken is not None:
+        if self._broken is not None:
+            raise OracleError(
+                f"oracle unusable after an earlier failure: {self._broken}", code="oracle-io"
+            )
+        try:
+            if self._proc.poll() is not None:
                 raise OracleError(
-                    f"oracle unusable after an earlier failure: {self._broken}", code="oracle-io"
+                    f"oracle process exited with {self._proc.returncode}", code="oracle-io"
                 )
             try:
-                if self._proc.poll() is not None:
-                    raise OracleError(
-                        f"oracle process exited with {self._proc.returncode}", code="oracle-io"
-                    )
-                try:
-                    self._proc.stdin.write(_dumps(request))
-                    self._proc.stdin.flush()
-                except OSError as e:
-                    raise OracleError(f"cannot write to oracle: {e}", code="oracle-io") from e
-                msg = self._read_message()
-            except OracleError as e:
-                raise self._fail(e)
+                self._proc.stdin.write(_dumps(request))
+                self._proc.stdin.flush()
+            except OSError as e:
+                raise OracleError(f"cannot write to oracle: {e}", code="oracle-io") from e
+            msg = self._read_message()
+        except OracleError as e:
+            raise self._fail(e)
         if "error" in msg:
             raise OracleError(f"oracle reported: {msg['error']}")
         if "values" not in msg:

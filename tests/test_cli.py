@@ -509,6 +509,26 @@ def test_gkr_plan_apply_stats_roundtrip(capsys, fixtures_dir, tmp_path):
     assert stats["buckets"]["0"] == 2
 
 
+def test_gkr_stats_accepts_mixed_type_image_ids(capsys, tmp_path):
+    schema, _ = default_schema()
+    doc = {"images": [], "annotations": []}
+    for i, image_id in enumerate(["b", 0, "a", 2]):
+        doc["images"].append({"id": image_id, "width": 64, "height": 48, "file_name": f"{i}.ppm"})
+        kps = []
+        for j in range(schema.n):
+            kps += [8.0 + 3.0 * j, 10.0, 2 if j >= 4 * i else 0]
+        doc["annotations"].append({"id": i, "image_id": image_id, "keypoints": kps})
+    ann = tmp_path / "persons.json"
+    ann.write_text(json.dumps(doc))
+    code, stdout, err = run(capsys, "gkr", "stats", "--annotations", str(ann))
+    assert code == 0, err
+    stats = json.loads(stdout)
+    assert stats["images"] == 4
+    assert list(stats["ratios"]) == ["0", "2", "a", "b"]
+    assert stats["ratios"]["b"] == 0.0
+    assert stats["ratios"]["0"] == 4 / schema.n
+
+
 def test_corr_reprints_warnings_on_stderr(capsys, tmp_path):
     table = tmp_path / "conf.csv"
     table.write_text(

@@ -85,6 +85,23 @@ def test_parse_rejects_dangling_image(schema):
     assert exc.value.code == "dangling-image"
 
 
+def test_parse_rejects_duplicate_image_id(schema):
+    doc = make_doc(schema)
+    doc["images"].append({"id": 5, "width": 8, "height": 8, "file_name": "y.ppm"})
+    with pytest.raises(DataError, match="duplicate image id 5") as exc:
+        parse_annotations(doc, schema)
+    assert exc.value.code == "duplicate-image"
+
+
+def test_parse_rejects_image_ids_equal_as_str(schema):
+    # stats are keyed by str(id), where 5 and "5" would collide
+    doc = make_doc(schema)
+    doc["images"].append({"id": "5", "width": 8, "height": 8, "file_name": "y.ppm"})
+    with pytest.raises(DataError, match="duplicate image id '5'") as exc:
+        parse_annotations(doc, schema)
+    assert exc.value.code == "duplicate-image"
+
+
 def test_parse_rejects_labeled_out_of_bounds(schema):
     doc = make_doc(schema)
     doc["annotations"][0]["keypoints"][0] = 1000.0

@@ -11,6 +11,7 @@ from kpshap import (
     keypoint_connectivity,
     perturbation_influence,
 )
+from kpshap.grouping import LINKAGES, _cross
 
 
 def sym_matrix(n, seed):
@@ -19,6 +20,27 @@ def sym_matrix(n, seed):
     s = 0.5 * (a + a.T)
     np.fill_diagonal(s, 0.0)
     return s
+
+
+def reference_cluster(s, g, linkage):
+    """The loop cluster() replaced: rescan every pair after each merge."""
+    clusters = [(i,) for i in range(len(s))]
+    while len(clusters) > g:
+        best_key = None
+        best_pair = None
+        for x in range(len(clusters)):
+            for y in range(x + 1, len(clusters)):
+                v = _cross(s, clusters[x], clusters[y], linkage)
+                lo, hi = sorted((clusters[x][0], clusters[y][0]))
+                key = (-v, lo, hi)
+                if best_key is None or key < best_key:
+                    best_key = key
+                    best_pair = (x, y)
+        x, y = best_pair
+        merged = tuple(sorted(clusters[x] + clusters[y]))
+        clusters = [c for k, c in enumerate(clusters) if k not in (x, y)]
+        clusters.append(merged)
+    return Grouping.from_sets(clusters, len(s))
 
 
 # --- Grouping type -------------------------------------------------------
@@ -158,3 +180,47 @@ def test_cluster_partition_invariants(n, seed, data):
     grouping = cluster(sym_matrix(n, seed), g=g, linkage=linkage)
     assert grouping.g == g
     assert sorted(i for grp in grouping.groups for i in grp) == list(range(n))
+
+
+@given(st.integers(2, 40), st.integers(0, 10_000), st.data())
+@settings(max_examples=60, deadline=None)
+def test_cluster_matches_reference_on_ties(n, seed, data):
+    # small integer entries make many exactly tied pairs, so the tie-break
+    # decides most merges; the diagonal is random and must not matter
+    top = data.draw(st.integers(1, 4))
+    a = np.random.default_rng(seed).integers(0, top, size=(n, n)).astype(np.float64)
+    s = a + a.T
+    g = data.draw(st.integers(1, n))
+    linkage = data.draw(st.sampled_from(LINKAGES))
+    assert cluster(s, g=g, linkage=linkage) == reference_cluster(s, g, linkage)
+
+
+@pytest.mark.parametrize("linkage", LINKAGES)
+def test_cluster_matches_reference_on_floats(linkage):
+    # an asymmetric matrix of uneven floats: every linkage agrees only if each
+    # block is read, and an average block summed, in the reference's orientation
+    s = sym_matrix(40, 3) * np.random.default_rng(4).lognormal(0.0, 3.0, size=(40, 40))
+    for g in (1, 7, 13):
+        assert cluster(s, g=g, linkage=linkage) == reference_cluster(s, g, linkage)
+
+
+def test_cluster_rejects_non_finite():
+    for bad in (np.nan, np.inf, -np.inf):
+        s = sym_matrix(5, 2)
+        s[1, 3] = s[3, 1] = bad
+        with pytest.raises(DataError, match="non-finite"):
+            cluster(s, g=2)
+    s = sym_matrix(5, 2)
+    s[4, 4] = np.nan  # the diagonal is never compared, but is refused all the same
+    with pytest.raises(DataError, match="non-finite"):
+        cluster(s, g=2)
+
+
+def test_cluster_refuses_an_overflowed_average():
+    # finite entries whose block sums reach +inf and -inf at once (NaN), and
+    # entries whose every block sum reaches -inf
+    signs = np.random.default_rng(0).choice([-1.7e308, 1.7e308], size=(12, 12))
+    for s in (signs, np.full((12, 12), -1.7e308)):
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DataError, match="overflowed"):
+                cluster(s, g=1, linkage="average")

@@ -277,6 +277,24 @@ def test_png_inflate_stops_at_the_declared_size(tmp_path):
     assert peak < 8 << 20
 
 
+def test_png_reads_idat_split_into_many_chunks(tmp_path):
+    # encoders such as libpng split IDAT into chunks of a few KB; the reader
+    # must join them into one stream, and in time linear in their count
+    img = random_image(120, 160, 11)
+    idat = zlib.compress(b"".join(b"\x00" + row.tobytes() for row in img))
+    sizes = np.random.default_rng(12).integers(1024, 8193, size=len(idat) // 1024)
+    cuts = [0, *[int(c) for c in np.cumsum(sizes) if c < len(idat)], len(idat)]
+    assert len(cuts) > 6
+    ihdr = _chunk(b"IHDR", struct.pack(">IIBBBBB", 160, 120, 8, 2, 0, 0, 0))
+    iend = _chunk(b"IEND", b"")
+    one, split = tmp_path / "one.png", tmp_path / "split.png"
+    one.write_bytes(PNG_SIGNATURE + ihdr + _chunk(b"IDAT", idat) + iend)
+    chunks = b"".join(_chunk(b"IDAT", idat[a:b]) for a, b in zip(cuts, cuts[1:]))
+    split.write_bytes(PNG_SIGNATURE + ihdr + chunks + iend)
+    assert np.array_equal(read_png(split), read_png(one))
+    assert np.array_equal(read_png(one), img)
+
+
 @pytest.mark.parametrize("size", [b"-1 -1", b"0 3", b"3 0"])
 def test_ppm_rejects_non_positive_size(tmp_path, size):
     path = tmp_path / "bad.ppm"
