@@ -4,7 +4,7 @@ import zlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kpshap import (
@@ -293,6 +293,125 @@ def test_png_reads_idat_split_into_many_chunks(tmp_path):
     split.write_bytes(PNG_SIGNATURE + ihdr + chunks + iend)
     assert np.array_equal(read_png(split), read_png(one))
     assert np.array_equal(read_png(one), img)
+
+
+def _unfilter(kind, row, prev, bpp):
+    """Reference: undo one row's PNG filter byte by byte (W3C PNG §9)."""
+    length = len(row)
+    if kind == 0:
+        return
+    if kind == 1:
+        for i in range(bpp, length):
+            row[i] = (row[i] + row[i - bpp]) & 0xFF
+    elif kind == 2:
+        for i in range(length):
+            row[i] = (row[i] + prev[i]) & 0xFF
+    elif kind == 3:
+        for i in range(length):
+            left = row[i - bpp] if i >= bpp else 0
+            row[i] = (row[i] + ((left + prev[i]) >> 1)) & 0xFF
+    elif kind == 4:
+        for i in range(length):
+            a = row[i - bpp] if i >= bpp else 0
+            b = prev[i]
+            c = prev[i - bpp] if i >= bpp else 0
+            p = a + b - c
+            pa, pb, pc = abs(p - a), abs(p - b), abs(p - c)
+            pred = a if pa <= pb and pa <= pc else (b if pb <= pc else c)
+            row[i] = (row[i] + pred) & 0xFF
+    else:
+        raise DataError(f"unsupported PNG filter {kind}")
+
+
+def reference_unfilter(raw, h, w, channels):
+    """The per-row loop read_png used before the wavefront, RGB out."""
+    stride = w * channels
+    out = np.empty((h, w, channels), dtype=np.uint8)
+    prev = bytes(stride)
+    for y in range(h):
+        kind = raw[y * (stride + 1)]
+        row = bytearray(raw[y * (stride + 1) + 1 : (y + 1) * (stride + 1)])
+        _unfilter(kind, row, prev, channels)
+        out[y] = np.frombuffer(bytes(row), dtype=np.uint8).reshape(w, channels)
+        prev = bytes(row)
+    return out[:, :, :3]
+
+
+def _png_from_raw(raw, h, w, color=2, compression=0, filtering=0):
+    ihdr = struct.pack(">IIBBBBB", w, h, 8, color, compression, filtering, 0)
+    return (
+        PNG_SIGNATURE
+        + _chunk(b"IHDR", ihdr)
+        + _chunk(b"IDAT", zlib.compress(raw))
+        + _chunk(b"IEND", b"")
+    )
+
+
+def _random_raw(rng, h, w, channels, kinds=None):
+    """A raw PNG stream: per row, a filter byte 0-4 then random payload bytes."""
+    if kinds is None:
+        kinds = rng.integers(0, 5, size=h)
+    payload = rng.integers(0, 256, size=(h, w * channels), dtype=np.uint8)
+    return np.concatenate([np.asarray(kinds, np.uint8)[:, None], payload], axis=1).tobytes()
+
+
+@given(
+    h=st.integers(1, 40),
+    w=st.integers(1, 40),
+    alpha=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(h=1, w=40, alpha=False, seed=0)
+@example(h=40, w=1, alpha=True, seed=1)
+@settings(max_examples=150, deadline=None)
+def test_png_decode_matches_reference_loop(tmp_path_factory, h, w, alpha, seed):
+    channels = 4 if alpha else 3
+    raw = _random_raw(np.random.default_rng(seed), h, w, channels)
+    path = tmp_path_factory.mktemp("wave") / "raw.png"
+    path.write_bytes(_png_from_raw(raw, h, w, color=6 if alpha else 2))
+    got = read_png(path)
+    assert got.shape == (h, w, 3) and got.dtype == np.uint8 and got.flags.c_contiguous
+    assert np.array_equal(got, reference_unfilter(raw, h, w, channels))
+
+
+@pytest.mark.parametrize("h, w", [(1, 4096), (4096, 1)])
+def test_png_thin_images_decode_in_memory_linear_in_size(tmp_path, h, w):
+    # the skew buffer is indexed along the shorter side, so a 4096x1 image
+    # costs as little as a 1x4096 one, not a 4096 x 4096 buffer
+    rng = np.random.default_rng(h)
+    raw = _random_raw(rng, h, w, 3)
+    path = tmp_path / "thin.png"
+    path.write_bytes(_png_from_raw(raw, h, w))
+    tracemalloc.start()
+    try:
+        got = read_png(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(got, reference_unfilter(raw, h, w, 3))
+    assert peak <= 8 * h * w * 3
+
+
+@pytest.mark.parametrize("row", [0, 1, 3, 6])
+@pytest.mark.parametrize("kind", [5, 255])
+def test_png_rejects_bad_filter_byte_on_any_row(tmp_path, row, kind):
+    kinds = [4, 1, 2, 3, 0, 4, 2]
+    kinds[row] = kind
+    raw = _random_raw(np.random.default_rng(row), 7, 5, 3, kinds)
+    path = tmp_path / "bad-filter.png"
+    path.write_bytes(_png_from_raw(raw, 7, 5))
+    with pytest.raises(DataError, match=f"^unsupported PNG filter {kind}$"):
+        read_png(path)
+
+
+@pytest.mark.parametrize("field, name", [("compression", "compression"), ("filtering", "filter")])
+def test_png_rejects_unknown_compression_or_filter_method(tmp_path, field, name):
+    # W3C PNG §11.2.2 defines only method 0 for both IHDR fields
+    raw = _random_raw(np.random.default_rng(3), 4, 4, 3, [0, 0, 0, 0])
+    path = tmp_path / "method.png"
+    path.write_bytes(_png_from_raw(raw, 4, 4, **{field: 1}))
+    with pytest.raises(DataError, match=f"{name} method 1"):
+        read_png(path)
 
 
 @pytest.mark.parametrize("size", [b"-1 -1", b"0 3", b"3 0"])
