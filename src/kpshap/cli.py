@@ -213,8 +213,7 @@ def cmd_shapley(ns) -> int:
 
 
 def cmd_exact(ns) -> int:
-    n, values = read_game_csv(ns.game)
-    table = exact_shapley(lambda mask: float(values[mask]), n)
+    table = exact_shapley(read_game_csv(ns.game))
     for name, phi in zip(table.players, table.phi):
         print(f"{name} {phi:.10g}")
     print(f"efficiency_gap {table.efficiency_gap():.3g}")

@@ -89,6 +89,11 @@ def _json_text(doc) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
+def _json_line(doc) -> str:
+    """Compact JSON for wire lines, plan lines and digests: sorted keys, no spaces."""
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+
+
 def _json_document(source, what: str, error=DataError, io_code=None, parse_code=None):
     """Parse a JSON document given as a path, JSON text or a parsed object.
 

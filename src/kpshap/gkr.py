@@ -11,12 +11,11 @@ touches only the planned rectangles, every other pixel byte stays identical.
 from __future__ import annotations
 
 import io
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, _json_document, _parse_json, _read_text, _write_bytes
+from .errors import DataError, _json_document, _json_line, _parse_json, _read_text, _write_bytes
 from .grouping import Grouping
 from .images import _check_rgb
 from .perturb import _centered_rect, _round_half_up
@@ -306,8 +305,7 @@ def apply_plan(image: np.ndarray, plan: ErasePlan) -> np.ndarray:
 
 
 def write_plans(path, plans) -> None:
-    lines = (json.dumps(p.to_json_dict(), sort_keys=True, separators=(",", ":")) for p in plans)
-    _write_bytes(path, "".join(line + "\n" for line in lines), "plans")
+    _write_bytes(path, "".join(_json_line(p.to_json_dict()) + "\n" for p in plans), "plans")
 
 
 def read_plans(path) -> list[ErasePlan]:

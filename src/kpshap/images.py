@@ -112,7 +112,7 @@ _AVG = 3
 
 def _unfilter_wavefront(rows: np.ndarray, channels: int) -> np.ndarray:
     """Undo the row filters of `rows`, a PNG's inflated h x (1 + w * channels)
-    bytes with each row's filter type first; returns an h x w x channels view.
+    bytes with each row's filter type (0-4) first; returns an h x w x channels view.
 
     Diagonal t = x + y is row t + 2 of the skew buffer, and its pixel whose
     coordinate along the shorter side is k (y if h <= w, else x) is column
@@ -122,9 +122,6 @@ def _unfilter_wavefront(rows: np.ndarray, channels: int) -> np.ndarray:
     h = rows.shape[0]
     w = (rows.shape[1] - 1) // channels
     kinds = rows[:, 0]
-    bad = np.flatnonzero(kinds > 4)
-    if bad.size:
-        raise DataError(f"unsupported PNG filter {kinds[bad[0]]}")
     by_y = h <= w
     shorter, longer = (h, w) if by_y else (w, h)
     skew = np.zeros((h + w + 1, shorter + 1, channels), dtype=np.uint8)
@@ -221,6 +218,9 @@ def read_png(path) -> np.ndarray:
     if not inflater.eof or len(raw) != h * (stride + 1):
         raise DataError(f"{path}: PNG payload size mismatch")
     rows = np.frombuffer(raw, dtype=np.uint8).reshape(h, stride + 1)
+    bad = np.flatnonzero(rows[:, 0] > 4)
+    if bad.size:
+        raise DataError(f"{path}: unsupported PNG filter {rows[bad[0], 0]}")
     return _unfilter_wavefront(rows, channels)[:, :, :3].copy()
 
 

@@ -43,6 +43,7 @@ from .errors import (
     _csv_rows,
     _float_cells,
     _json_document,
+    _json_line,
     _write_table,
 )
 from .rng import generator
@@ -83,11 +84,7 @@ class Coalition:
 
     @classmethod
     def parse_hex(cls, text: str, n: int) -> "Coalition":
-        try:
-            bits = int(text.strip(), 16)
-        except ValueError as e:
-            raise DataError(f"bad coalition hex {text!r}") from e
-        return cls(bits, n)
+        return cls(_parse_mask(text), n)
 
     def indices(self) -> tuple[int, ...]:
         return tuple(i for i in range(self.n) if self.bits >> i & 1)
@@ -106,6 +103,41 @@ class Coalition:
 
     def __len__(self) -> int:
         return bin(self.bits).count("1")
+
+
+def _parse_mask(text: str, where: str = "") -> int:
+    """The non-negative bitmask written as hex in ``text``, e.g. "0x5"."""
+    try:
+        mask = int(text, 16)
+    except ValueError:
+        raise DataError(f"{where}bad coalition hex {text!r}") from None
+    if mask < 0:
+        raise DataError(f"{where}negative coalition {text!r}")
+    return mask
+
+
+def _read_coalition_table(path, columns, what: str) -> dict[int, list[float]]:
+    """Rows of a coalition table: CSV header coalition_hex then ``columns``,
+    one row per coalition; returns {mask: values}, each coalition once."""
+    rows = _csv_rows(path, what)
+    header = next(rows, None)
+    if header != ["coalition_hex", *columns]:
+        expected = ",".join(["coalition_hex", *columns])
+        raise DataError(f"{path}: {what} header {header}, expected {expected}")
+    table: dict[int, list[float]] = {}
+    for lineno, row in enumerate(rows, start=2):
+        values = _float_cells(path, lineno, row, len(columns) + 1)
+        mask = _parse_mask(row[0], f"{path}:{lineno}: ")
+        if mask in table:
+            raise DataError(f"{path}:{lineno}: duplicate coalition 0x{mask:x}")
+        table[mask] = values
+    return table
+
+
+def _write_coalition_table(path, columns, table, what: str) -> None:
+    """The CSV form _read_coalition_table reads: rows sorted by mask, written as 0x%x."""
+    rows = ((f"0x{mask:x}", table[mask]) for mask in sorted(table))
+    _write_table(path, ["coalition_hex", *columns], rows, what)
 
 
 def check_perf_vector(values, n: int) -> np.ndarray:
@@ -216,8 +248,7 @@ class SyntheticModelConfig:
         }
 
     def digest(self) -> str:
-        blob = json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode()).hexdigest()
+        return hashlib.sha256(_json_line(self.to_json_dict()).encode()).hexdigest()
 
 
 class SyntheticOracle(CoalitionValueOracle):
@@ -265,6 +296,10 @@ class TabularOracle(CoalitionValueOracle):
     def __init__(self, schema: KeypointSchema, table: dict[int, np.ndarray], source: str = ""):
         super().__init__(schema)
         full = (1 << schema.n) - 1
+        for mask in table:
+            if not 0 <= mask <= full:
+                where = source or "oracle table"
+                raise DataError(f"{where}: coalition {hex(mask)} out of range for n={schema.n}")
         if full not in table:
             raise DataError("oracle table is missing the full coalition", code="missing-full-coalition")
         self.table = {m: check_perf_vector(v, schema.n) for m, v in table.items()}
@@ -284,30 +319,18 @@ class TabularOracle(CoalitionValueOracle):
         return f"tabular:rows={len(self.table)},sha256={digest.hexdigest()[:16]}"
 
 
-def _oracle_header(n: int) -> list[str]:
-    return ["coalition_hex"] + [f"v_{i}" for i in range(n)]
+def _oracle_columns(n: int) -> list[str]:
+    return [f"v_{i}" for i in range(n)]
 
 
 def load_tabular_oracle(path, schema: KeypointSchema) -> TabularOracle:
     """CSV with columns coalition_hex, v_0 .. v_{n-1}."""
-    n = schema.n
-    rows = _csv_rows(path, "oracle table")
-    header = next(rows, None)
-    if header != _oracle_header(n):
-        raise DataError(f"oracle table header {header} does not match schema (n={n})")
-    table: dict[int, np.ndarray] = {}
-    for lineno, row in enumerate(rows, start=2):
-        values = _float_cells(path, lineno, row, n + 1)
-        mask = Coalition.parse_hex(row[0], n).bits
-        if mask in table:
-            raise DataError(f"{path}:{lineno}: duplicate coalition 0x{mask:x}")
-        table[mask] = np.asarray(values)
+    table = _read_coalition_table(path, _oracle_columns(schema.n), "oracle table")
     return TabularOracle(schema, table, source=str(path))
 
 
 def write_oracle_table(path, schema: KeypointSchema, table: dict[int, np.ndarray]) -> None:
-    rows = ((f"0x{mask:x}", table[mask]) for mask in sorted(table))
-    _write_table(path, _oracle_header(schema.n), rows, "oracle table")
+    _write_coalition_table(path, _oracle_columns(schema.n), table, "oracle table")
 
 
 class CountingOracle(CoalitionValueOracle):
@@ -330,10 +353,6 @@ class CountingOracle(CoalitionValueOracle):
 
     def describe(self) -> str:
         return f"counting({self.inner.describe()})"
-
-
-def _dumps(obj) -> bytes:
-    return (json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n").encode()
 
 
 class ExternalOracle(CoalitionValueOracle):
@@ -443,7 +462,7 @@ class ExternalOracle(CoalitionValueOracle):
                     f"oracle process exited with {self._proc.returncode}", code="oracle-io"
                 )
             try:
-                self._proc.stdin.write(_dumps(request))
+                self._proc.stdin.write((_json_line(request) + "\n").encode())
                 self._proc.stdin.flush()
             except OSError as e:
                 raise OracleError(f"cannot write to oracle: {e}", code="oracle-io") from e
@@ -486,7 +505,7 @@ def serve(oracle: CoalitionValueOracle, infile, outfile) -> None:
     also handy for testing clients of the protocol.
     """
     n = oracle.schema.n
-    outfile.write(_dumps({"op": "hello", "n": n, "names": list(oracle.schema.names)}).decode())
+    outfile.write(_json_line({"op": "hello", "n": n, "names": list(oracle.schema.names)}) + "\n")
     outfile.flush()
     for raw in infile:
         if not raw.strip():
@@ -502,5 +521,5 @@ def serve(oracle: CoalitionValueOracle, infile, outfile) -> None:
             reply = {"values": [float(v) for v in values]}
         except Exception as e:  # a serving oracle must answer, not die
             reply = {"error": str(e)}
-        outfile.write(_dumps(reply).decode())
+        outfile.write(_json_line(reply) + "\n")
         outfile.flush()

@@ -21,17 +21,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, _csv_rows, _float_cells, _write_table
+from .errors import DataError
 from .grouping import Grouping
-from .oracle import Coalition, CoalitionValueOracle
+from .oracle import Coalition, CoalitionValueOracle, _read_coalition_table, _write_coalition_table
 from .rng import generator
 from .skeleton import KeypointSchema
 
 MAX_PLAYERS = 20
 
 SPLIT_MODES = ("uniform", "proportional")
-
-_GAME_HEADER = ["coalition_hex", "value"]
 
 
 @dataclass(frozen=True)
@@ -85,6 +83,17 @@ def _check_player_count(n: int) -> None:
         )
 
 
+def _game_table(values, what: str) -> tuple[np.ndarray, int]:
+    """A game's 2^n values as a float array, and n; 1 <= n <= MAX_PLAYERS."""
+    arr = np.asarray(values, dtype=np.float64)
+    count = arr.shape[0] if arr.ndim == 1 else 0
+    if count < 2 or count & (count - 1):
+        raise DataError(f"{what}: expected 2^n scalar values, got shape {arr.shape}")
+    n = count.bit_length() - 1
+    _check_player_count(n)
+    return arr, n
+
+
 def _popcounts(n: int) -> np.ndarray:
     masks = np.arange(1 << n, dtype=np.int64)
     size = np.zeros(1 << n, dtype=np.int64)
@@ -128,66 +137,36 @@ def _tables(table: np.ndarray, players, targets) -> list[ShapleyTable]:
     ]
 
 
-def exact_shapley(value, n: int, players=None, target: str = "") -> ShapleyTable:
+def exact_shapley(values, players=None, target: str = "") -> ShapleyTable:
     """Exact Shapley values of a scalar coalition game.
 
-    ``value`` maps a bitmask over n players to a float. Every one of the 2^n
-    masks is evaluated exactly once; marginal gains are then weighted by the
-    classic |S|! (n-|S|-1)! / n! coefficients.
+    ``values`` holds the game's 2^n coalition values, indexed by the bitmask
+    over n players. Marginal gains are weighted by the classic
+    |S|! (n-|S|-1)! / n! coefficients.
     """
-    _check_player_count(n)
+    table, n = _game_table(values, "game")
     if players is None:
         players = tuple(f"p{i}" for i in range(n))
     players = tuple(players)
     if len(players) != n:
         raise DataError(f"{len(players)} player labels for n={n}")
-
-    table = np.empty((1 << n, 1), dtype=np.float64)
-    for mask in range(1 << n):
-        table[mask, 0] = float(value(mask))
-    return _tables(table, players, (target,))[0]
+    return _tables(table[:, None], players, (target,))[0]
 
 
-def read_game_csv(path) -> tuple[int, np.ndarray]:
-    """Scalar game table: header coalition_hex,value, all 2^n rows present.
-
-    n is inferred from the row count, so the table must be complete.
-    Returns (n, values indexed by bitmask).
-    """
-    rows = _csv_rows(path, "game table")
-    header = next(rows, None)
-    if header != _GAME_HEADER:
-        raise DataError(f"{path}: expected header coalition_hex,value, got {header}")
-    values: dict[int, float] = {}
-    for lineno, row in enumerate(rows, start=2):
-        (value,) = _float_cells(path, lineno, row, 2)
-        try:
-            mask = int(row[0], 16)
-        except ValueError:
-            raise DataError(f"{path}:{lineno}: bad coalition hex {row[0]!r}") from None
-        if mask < 0:
-            raise DataError(f"{path}:{lineno}: negative coalition {row[0]!r}")
-        if mask in values:
-            raise DataError(f"{path}:{lineno}: duplicate coalition 0x{mask:x}")
-        values[mask] = value
-    count = len(values)
-    if count < 2 or count & (count - 1):
-        raise DataError(f"{path}: {count} rows, expected a complete 2^n table")
-    n = count.bit_length() - 1
-    _check_player_count(n)
-    if set(values) != set(range(count)):
-        missing = min(set(range(count)) - set(values))
-        raise DataError(f"{path}: incomplete table, e.g. missing coalition 0x{missing:x}")
-    return n, np.array([values[m] for m in range(count)], dtype=np.float64)
+def read_game_csv(path) -> np.ndarray:
+    """Scalar game table: a coalition table with one column, value, holding
+    all 2^n coalitions; n is inferred from the row count. Returns the values
+    indexed by bitmask."""
+    table = _read_coalition_table(path, ["value"], "game table")
+    missing = set(range(len(table))) - set(table)
+    if missing:
+        raise DataError(f"{path}: incomplete table, e.g. missing coalition 0x{min(missing):x}")
+    return _game_table([table[m][0] for m in range(len(table))], str(path))[0]
 
 
 def write_game_csv(path, values) -> None:
-    arr = np.asarray(values, dtype=np.float64)
-    count = arr.shape[0]
-    if arr.ndim != 1 or count < 2 or count & (count - 1):
-        raise DataError(f"game table must hold 2^n scalar values, got shape {arr.shape}")
-    rows = ((f"0x{mask:x}", [v]) for mask, v in enumerate(arr))
-    _write_table(path, _GAME_HEADER, rows, "game table")
+    arr, _ = _game_table(values, "game table")
+    _write_coalition_table(path, ["value"], dict(enumerate(arr[:, None])), "game table")
 
 
 def sampled_shapley(

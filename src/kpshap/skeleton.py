@@ -15,7 +15,7 @@ from importlib import resources
 
 import numpy as np
 
-from .errors import SchemaError, _json_document
+from .errors import SchemaError, _json_document, _json_line
 
 # Canonical names use "ankle"; several published tables write "foot" for the
 # same joints and abbreviate "shoulder", so those spellings resolve here.
@@ -125,11 +125,7 @@ def schema_digest(schema: KeypointSchema, skeleton: Skeleton) -> str:
     and key order irrelevant to the recorded identity.
     """
     edges = sorted(tuple(sorted(e)) for e in skeleton.edges)
-    blob = json.dumps(
-        {"names": list(schema.names), "edges": [list(e) for e in edges]},
-        sort_keys=True,
-        separators=(",", ":"),
-    )
+    blob = _json_line({"names": list(schema.names), "edges": [list(e) for e in edges]})
     return hashlib.sha256(blob.encode()).hexdigest()
 
 

@@ -69,7 +69,7 @@ def test_criterion_1_shapley_axioms():
     for _ in range(200):
         n = int(rng.integers(3, 11))
         values, d, a, b = planted_game(rng, n)
-        table = exact_shapley(lambda m: float(values[m]), n)
+        table = exact_shapley(values)
         eff = abs(sum(table.phi) - (values[(1 << n) - 1] - values[0]))
         worst = max(worst, eff, abs(table.phi[d]), abs(table.phi[a] - table.phi[b]))
     elapsed = time.monotonic() - start
@@ -96,7 +96,7 @@ def test_criterion_2_group_stage_equivalence():
         for target in range(n):
             members = grouping.groups[grouping.group_of(target)]
             intra = intra_group_shapley(oracle, grouping, target)
-            full = exact_shapley(lambda m, t=target: float(sweep[m, t]), n)
+            full = exact_shapley(sweep[:, target])
             for pos, j in enumerate(members):
                 worst_intra = max(worst_intra, abs(intra.phi[pos] - full.phi[j]))
         for h in range(grouping.g):

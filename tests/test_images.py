@@ -1,3 +1,4 @@
+import re
 import struct
 import tracemalloc
 import zlib
@@ -400,7 +401,8 @@ def test_png_rejects_bad_filter_byte_on_any_row(tmp_path, row, kind):
     raw = _random_raw(np.random.default_rng(row), 7, 5, 3, kinds)
     path = tmp_path / "bad-filter.png"
     path.write_bytes(_png_from_raw(raw, 7, 5))
-    with pytest.raises(DataError, match=f"^unsupported PNG filter {kind}$"):
+    message = f"^{re.escape(str(path))}: unsupported PNG filter {kind}$"
+    with pytest.raises(DataError, match=message):
         read_png(path)
 
 

@@ -198,6 +198,23 @@ def test_tabular_requires_full_coalition():
     assert exc.value.code == "missing-full-coalition"
 
 
+@pytest.mark.parametrize("mask", [-3, 1 << 3, 1 << 20])
+def test_tabular_rejects_coalition_out_of_range(mask):
+    # a table built in code is checked as strictly as one loaded from a file
+    schema = tiny_schema()
+    full = np.array([0.5, 0.6, 0.7])
+    with pytest.raises(DataError, match="out of range for n=3"):
+        TabularOracle(schema, {0b111: full, mask: full})
+
+
+def test_tabular_file_rejects_coalition_out_of_range(tmp_path):
+    schema = tiny_schema()
+    path = tmp_path / "wide.csv"
+    path.write_text("coalition_hex,v_0,v_1,v_2\n0x7,0.1,0.2,0.3\n0x8,0.1,0.2,0.3\n")
+    with pytest.raises(DataError, match="0x8 out of range"):
+        load_tabular_oracle(path, schema)
+
+
 def test_tabular_rejects_duplicate_rows(tmp_path):
     schema = tiny_schema()
     path = tmp_path / "dup.csv"

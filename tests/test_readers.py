@@ -2,13 +2,16 @@
 
 Arbitrary bytes, alone or after a well-formed start of the format, go into
 each reader; anything other than a result, DataError or SchemaError (a
-UnicodeDecodeError, csv.Error, zlib.error, struct.error, ...) fails.
+UnicodeDecodeError, csv.Error, zlib.error, struct.error, ...) fails. The
+coalition-table reader and writer are also run as a round trip through both
+of their callers, game tables and oracle tables.
 """
 
 import json
 import struct
 import zlib
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -18,6 +21,9 @@ from kpshap import (
     Grouping,
     SchemaError,
     default_schema,
+    exact_shapley,
+    load_schema,
+    load_tabular_oracle,
     parse_annotations,
     read_delta_csv,
     read_game_csv,
@@ -25,9 +31,12 @@ from kpshap import (
     read_plans,
     read_png,
     read_ppm,
+    write_game_csv,
+    write_oracle_table,
 )
 
 SCHEMA, _ = default_schema()
+PAIR = load_schema({"names": ["a", "b"], "edges": [["a", "b"]]})[0]
 
 IHDR = struct.pack(">IIBBBBB", 2, 2, 8, 2, 0, 0, 0)
 PNG_START = (
@@ -57,6 +66,10 @@ READERS = {
     "read_ppm": (read_ppm, [b"P6\n", b"P6 2 2 255\n"]),
     "read_matrix_csv": (read_matrix_csv, [b"keypoint,a,b\r\n", b"keypoint,a\na,"]),
     "read_game_csv": (read_game_csv, [b"coalition_hex,value\n", b"coalition_hex,value\n0x0,"]),
+    "load_tabular_oracle": (
+        lambda path: load_tabular_oracle(path, PAIR),
+        [b"coalition_hex,v_0,v_1\n", b"coalition_hex,v_0,v_1\n0x3,1,0.5\n0x1,"],
+    ),
     "read_delta_csv": (
         lambda path: read_delta_csv(path, SCHEMA),
         [",".join(["keypoint", "baseline", *SCHEMA.names]).encode() + b"\nnose,"],
@@ -93,7 +106,9 @@ def test_reader_raises_only_kpshap_errors(tmp_path, name, data):
         pass
 
 
-@pytest.mark.parametrize("name", ["read_matrix_csv", "read_game_csv", "read_delta_csv"])
+@pytest.mark.parametrize(
+    "name", ["read_matrix_csv", "read_game_csv", "load_tabular_oracle", "read_delta_csv"]
+)
 def test_csv_cell_over_field_limit_is_data_error(tmp_path, name):
     reader, starts = READERS[name]
     path = tmp_path / "input.csv"
@@ -139,3 +154,40 @@ def test_well_formed_json_of_the_wrong_shape_is_data_error(tmp_path, name, conte
     path.write_bytes(content)
     with pytest.raises(DataError):
         reader(path)
+
+
+# values with at most 10 significant digits survive the tables' .10g cells
+exact_floats = st.floats(-1e6, 1e6).map(lambda v: float(format(v, ".10g")))
+unit_floats = st.floats(0.0, 1.0).map(lambda v: float(format(v, ".10g")))
+
+
+@settings(
+    max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(data=st.data())
+def test_game_table_round_trip_prices_bit_identically(tmp_path, data):
+    n = data.draw(st.integers(1, 6), label="n")
+    values = np.array(data.draw(st.lists(exact_floats, min_size=1 << n, max_size=1 << n)))
+    path = tmp_path / "game.csv"
+    write_game_csv(path, values)
+    again = read_game_csv(path)
+    assert np.array_equal(again, values)
+    assert exact_shapley(again).phi == exact_shapley(values).phi
+
+
+@settings(
+    max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(data=st.data())
+def test_partial_oracle_table_round_trips(tmp_path, data):
+    n = data.draw(st.integers(2, 6), label="n")  # a schema has at least 2 keypoints
+    names = [f"k{i}" for i in range(n)]
+    schema = load_schema({"names": names, "edges": [names[i : i + 2] for i in range(n - 1)]})[0]
+    masks = data.draw(st.sets(st.integers(0, (1 << n) - 2)), label="masks") | {(1 << n) - 1}
+    vectors = st.lists(unit_floats, min_size=n, max_size=n).map(np.array)
+    table = {mask: data.draw(vectors) for mask in masks}
+    path = tmp_path / "oracle.csv"
+    write_oracle_table(path, schema, table)
+    again = load_tabular_oracle(path, schema).table
+    assert sorted(again) == sorted(table)
+    assert all(np.array_equal(again[mask], table[mask]) for mask in table)

@@ -48,6 +48,10 @@ def shapley_by_permutations(value, n):
     return [p / count for p in phi]
 
 
+def sweep(game, n):
+    return np.array([game(m) for m in range(1 << n)], dtype=np.float64)
+
+
 def random_game(n, seed):
     rng = np.random.default_rng(seed)
     table = rng.normal(size=1 << n)
@@ -62,7 +66,7 @@ def test_exact_matches_permutation_enumeration(n):
     for seed in range(3):
         game = random_game(n, seed)
         expected = shapley_by_permutations(game, n)
-        table = exact_shapley(game, n)
+        table = exact_shapley(sweep(game, n))
         assert np.allclose(table.phi, expected, atol=1e-10)
 
 
@@ -73,14 +77,14 @@ def test_glove_game_frozen_values():
         right = bool(mask & 0b110)
         return 1.0 if left and right else 0.0
 
-    table = exact_shapley(glove, 3)
+    table = exact_shapley(sweep(glove, 3))
     assert table.phi == pytest.approx((2 / 3, 1 / 6, 1 / 6), abs=1e-12)
 
 
 def test_glove_fixture_matches(fixtures_dir):
-    n, values = read_game_csv(fixtures_dir / "glove3.csv")
-    assert n == 3
-    table = exact_shapley(lambda m: float(values[m]), n)
+    values = read_game_csv(fixtures_dir / "glove3.csv")
+    assert len(values) == 1 << 3
+    table = exact_shapley(values)
     assert table.phi == pytest.approx((2 / 3, 1 / 6, 1 / 6), abs=1e-12)
 
 
@@ -95,12 +99,12 @@ def test_efficiency_dummy_symmetry_axioms():
             v += 0.5
         return v
 
-    table = exact_shapley(game, 4)
+    table = exact_shapley(sweep(game, 4))
     assert table.efficiency_gap() <= 1e-12
     assert abs(table.phi[3]) <= 1e-12  # dummy
     # players 0 and 1 differ only by their solo weight; strip it and they
     # become symmetric
-    sym = exact_shapley(lambda m: game(m) - sum(w[j] for j in range(4) if m >> j & 1), 4)
+    sym = exact_shapley(sweep(lambda m: game(m) - sum(w[j] for j in range(4) if m >> j & 1), 4))
     assert sym.phi[0] == pytest.approx(sym.phi[1], abs=1e-12)
 
 
@@ -108,7 +112,7 @@ def test_efficiency_dummy_symmetry_axioms():
 @settings(max_examples=60, deadline=None)
 def test_efficiency_property(n, seed):
     game = random_game(n, seed)
-    table = exact_shapley(game, n)
+    table = exact_shapley(sweep(game, n))
     assert table.efficiency_gap() <= 1e-9
 
 
@@ -117,27 +121,27 @@ def test_efficiency_property(n, seed):
 def test_additivity_property(n, seed):
     g1 = random_game(n, seed)
     g2 = random_game(n, seed + 77)
-    both = exact_shapley(lambda m: g1(m) + g2(m), n)
-    split = np.array(exact_shapley(g1, n).phi) + np.array(exact_shapley(g2, n).phi)
+    both = exact_shapley(sweep(lambda m: g1(m) + g2(m), n))
+    split = np.array(exact_shapley(sweep(g1, n)).phi) + np.array(exact_shapley(sweep(g2, n)).phi)
     assert np.allclose(both.phi, split, atol=1e-9)
 
 
 def test_player_count_guard():
     with pytest.raises(DataError) as exc:
-        exact_shapley(lambda m: 0.0, 21)
+        exact_shapley(sweep(lambda m: 0.0, 21))
     assert exc.value.code == "too-many-players"
     with pytest.raises(DataError):
-        exact_shapley(lambda m: 0.0, 0)
+        exact_shapley(sweep(lambda m: 0.0, 0))
 
 
 def test_non_finite_game_rejected():
     with pytest.raises(DataError):
-        exact_shapley(lambda m: math.inf if m else 0.0, 2)
+        exact_shapley(sweep(lambda m: math.inf if m else 0.0, 2))
 
 
 def test_sampled_estimator_approaches_exact():
     game = random_game(5, 4)
-    exact = exact_shapley(game, 5)
+    exact = exact_shapley(sweep(game, 5))
     est = sampled_shapley(game, 5, permutations=4000, seed=0)
     assert np.allclose(est.phi, exact.phi, atol=0.05)
     # deterministic for a fixed seed
@@ -152,8 +156,8 @@ def test_game_csv_roundtrip(tmp_path):
     values = np.array([0.0, 0.25, 0.5, 1.0])
     path = tmp_path / "game.csv"
     write_game_csv(path, values)
-    n, again = read_game_csv(path)
-    assert n == 2
+    again = read_game_csv(path)
+    assert len(again) == 1 << 2
     assert np.array_equal(values, again)
 
 
@@ -234,7 +238,7 @@ def test_intra_stage_matches_full_exact_on_separable_game():
         members = grouping.groups[grouping.group_of(target)]
         intra = intra_group_shapley(oracle, grouping, target)
         full = exact_shapley(
-            lambda m, t=target: float(oracle.eval("all", Coalition(m, n))[t]), n
+            sweep(lambda m, t=target: float(oracle.eval("all", Coalition(m, n))[t]), n)
         )
         for pos, j in enumerate(members):
             assert intra.phi[pos] == pytest.approx(full.phi[j], abs=1e-9)
