@@ -2,11 +2,21 @@
 
 An oracle answers one question: given a set of visible keypoints (a
 coalition), what per-keypoint performance does the predictor under study
-achieve? Three backends share the interface:
+achieve? The primitive is ``eval_many(instances, masks, trial)``: it scores
+a batch of coalitions, given as integer bitmasks (bit i = keypoint i
+visible), and returns one row of n values per mask. Every pipeline stage
+submits its coalitions as one batch; ``eval`` scores one ``Coalition``.
+Both check what goes in (masks in [0, 2^n), instance ids) and what comes
+out (finite values in [0, 1]) and return read-only arrays. A backend
+implements ``_eval`` and may implement ``_eval_many``; by default a batch is
+one public ``eval`` per mask, so a wrapper that overrides only ``eval``
+still sees every coalition. Three backends share the interface:
 
-- synthetic: a closed-form test double with optional counter-based noise;
+- synthetic: a closed-form test double with optional counter-based noise,
+  scored a block of rows at a time;
 - tabular: exact lookup in a CSV of precomputed values;
-- external: a child process speaking line-delimited JSON over stdin/stdout.
+- external: a child process speaking line-delimited JSON over stdin/stdout,
+  one request per coalition.
 
 Wire protocol (external backend). The child prints a handshake first:
 
@@ -20,13 +30,16 @@ then answers one request per line:
 
 ``instances`` is ["all"] or a list of instance id strings; "all" is reserved.
 Environment overrides: KPSHAP_ORACLE_CMD replaces the child command line,
-KPSHAP_ORACLE_TIMEOUT (seconds) replaces the I/O timeout.
+KPSHAP_ORACLE_TIMEOUT (seconds) replaces the I/O timeout. A timeout must be
+finite and > 0.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
+import operator
 import os
 import selectors
 import shlex
@@ -46,10 +59,14 @@ from .errors import (
     _json_line,
     _write_table,
 )
-from .rng import generator
+from .rng import generator, rekey
 from .skeleton import KeypointSchema
 
 ALL_INSTANCES = "all"
+
+# SyntheticOracle scores a batch this many rows at a time, so a whole-stage
+# batch (thousands of rows) does not hold all its temporaries at once.
+_BLOCK_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -140,17 +157,27 @@ def _write_coalition_table(path, columns, table, what: str) -> None:
     _write_table(path, ["coalition_hex", *columns], rows, what)
 
 
-def check_perf_vector(values, n: int) -> np.ndarray:
-    """Validate and freeze one per-keypoint performance vector."""
+def _check_perf(values, shape: tuple[int, ...]) -> np.ndarray:
+    """Validate and freeze performance values of the given shape: one
+    vector, or one row per coalition of a batch."""
     arr = np.asarray(values, dtype=np.float64)
-    if arr.shape != (n,):
-        raise DataError(f"performance vector has shape {arr.shape}, expected ({n},)")
+    if arr.shape != shape:
+        raise DataError(f"performance vector has shape {arr.shape}, expected {shape}")
     if not np.all(np.isfinite(arr)):
         raise DataError("performance vector contains non-finite values")
-    if arr.min() < 0.0 or arr.max() > 1.0:
+    if arr.size and (arr.min() < 0.0 or arr.max() > 1.0):
         raise DataError(f"performance values outside [0, 1]: min={arr.min()}, max={arr.max()}")
     arr.flags.writeable = False
     return arr
+
+
+def _check_masks(masks, n: int) -> list[int]:
+    """Coalition bitmasks as Python ints, each in [0, 2^n)."""
+    masks = [operator.index(m) for m in masks]
+    if masks and (min(masks) < 0 or max(masks) >> n):
+        bad = next(m for m in masks if not 0 <= m < 1 << n)
+        raise DataError(f"coalition bits 0x{bad:x} out of range for n={n}")
+    return masks
 
 
 def _normalize_instances(instances):
@@ -163,25 +190,46 @@ def _normalize_instances(instances):
         raise DataError("instance set is empty")
     if ALL_INSTANCES in ids:
         raise DataError(f"{ALL_INSTANCES!r} is reserved and cannot name an instance")
+    if len(set(ids)) != len(ids):
+        dup = next(i for k, i in enumerate(ids) if i in ids[:k])
+        raise DataError(f"instance id {dup!r} is listed twice", code="duplicate-instance")
     return ids
 
 
 class CoalitionValueOracle:
-    """Base: validates widths on the way in and values on the way out."""
+    """Base: validates coalitions and instances on the way in and values on
+    the way out."""
 
     def __init__(self, schema: KeypointSchema):
         self.schema = schema
 
     def eval(self, instances, coalition: Coalition, trial: int = 0) -> np.ndarray:
+        """Per-keypoint values of one coalition: a read-only (n,) array."""
         if coalition.n != self.schema.n:
             raise DataError(
                 f"coalition width {coalition.n} does not match schema n={self.schema.n}"
             )
         values = self._eval(_normalize_instances(instances), coalition, int(trial))
-        return check_perf_vector(values, self.schema.n)
+        return _check_perf(values, (self.schema.n,))
+
+    def eval_many(self, instances, masks, trial: int = 0) -> np.ndarray:
+        """Values of a batch of coalitions given as bitmasks: a read-only
+        (len(masks), n) array whose row r belongs to masks[r]."""
+        masks = _check_masks(masks, self.schema.n)
+        values = self._eval_many(_normalize_instances(instances), masks, int(trial))
+        return _check_perf(values, (len(masks), self.schema.n))
 
     def _eval(self, instances, coalition: Coalition, trial: int) -> np.ndarray:
         raise NotImplementedError
+
+    def _eval_many(self, instances, masks: list[int], trial: int) -> np.ndarray:
+        """One public eval per mask, so that a wrapper overriding only eval
+        sees every coalition of a batch."""
+        n = self.schema.n
+        values = np.empty((len(masks), n), dtype=np.float64)
+        for row, mask in zip(values, masks):
+            row[:] = self.eval(instances, Coalition(mask, n), trial)
+        return values
 
     def describe(self) -> str:
         """Stable identity string for run manifests."""
@@ -266,21 +314,45 @@ class SyntheticOracle(CoalitionValueOracle):
         self._digest = config.digest()
 
     def _eval(self, instances, coalition: Coalition, trial: int) -> np.ndarray:
-        ids = ("0",) if instances == ALL_INSTANCES else instances
+        return self._eval_many(instances, [coalition.bits], trial)[0]
+
+    def _eval_many(self, instances, masks: list[int], trial: int) -> np.ndarray:
+        """The model, _BLOCK_ROWS rows at a time. Each row is scored exactly
+        as alone: the recovery product is one gemv per row (a gemm over the
+        block sums in another order), the rest is elementwise, and each
+        (instance, coalition, trial) draws its own keyed noise stream."""
         n = self.schema.n
-        vis = np.zeros(n, dtype=np.float64)
-        for i in coalition.indices():
-            vis[i] = 1.0
-        core = self._base * vis + self._base * (self._recovery @ vis) * (1.0 - vis)
-        if self.config.noise_sd == 0.0:
-            return np.clip(core, 0.0, 1.0)
-        acc = np.zeros(n, dtype=np.float64)
-        for iid in ids:
-            eps = generator(
-                "synthetic-noise", self._digest, iid, coalition.bits, trial
-            ).normal(0.0, self.config.noise_sd, size=n)
-            acc += np.clip(core + eps, 0.0, 1.0)
-        return acc / len(ids)
+        ids = ("0",) if instances == ALL_INSTANCES else instances
+        sd = self.config.noise_sd
+        width = (n + 7) // 8
+        out = np.empty((len(masks), n), dtype=np.float64)
+        noise = None
+        for start in range(0, len(masks), _BLOCK_ROWS):
+            block = masks[start : start + _BLOCK_ROWS]
+            packed = np.frombuffer(b"".join(m.to_bytes(width, "little") for m in block), np.uint8)
+            vis = np.unpackbits(
+                packed.reshape(len(block), width), axis=1, count=n, bitorder="little"
+            ).astype(np.float64)
+            recovered = np.array([self._recovery @ v for v in vis])
+            core = self._base * vis + self._base * recovered * (1.0 - vis)
+            rows = out[start : start + len(block)]
+            if sd == 0.0:
+                np.clip(core, 0.0, 1.0, out=rows)
+                continue
+            acc = None
+            for iid in ids:
+                eps = []
+                for mask in block:
+                    key = ("synthetic-noise", self._digest, iid, mask, trial)
+                    if noise is None:
+                        noise = generator(*key)
+                    else:
+                        rekey(noise, *key)
+                    eps.append(noise.normal(0.0, sd, size=n))
+                part = np.clip(core + eps, 0.0, 1.0)
+                acc = part if acc is None else acc + part
+            np.divide(acc, len(ids), out=rows)
+        return out
 
     def describe(self) -> str:
         return f"synthetic:{self._digest}"
@@ -302,7 +374,7 @@ class TabularOracle(CoalitionValueOracle):
                 raise DataError(f"{where}: coalition {hex(mask)} out of range for n={schema.n}")
         if full not in table:
             raise DataError("oracle table is missing the full coalition", code="missing-full-coalition")
-        self.table = {m: check_perf_vector(v, schema.n) for m, v in table.items()}
+        self.table = {m: _check_perf(v, (schema.n,)) for m, v in table.items()}
         self.source = source
 
     def _eval(self, instances, coalition: Coalition, trial: int) -> np.ndarray:
@@ -347,6 +419,11 @@ class CountingOracle(CoalitionValueOracle):
         self.coalitions.add(coalition.bits)
         return self.inner._eval(instances, coalition, trial)
 
+    def _eval_many(self, instances, masks: list[int], trial: int) -> np.ndarray:
+        self.calls += len(masks)
+        self.coalitions.update(masks)
+        return self.inner._eval_many(instances, masks, trial)
+
     def reset(self) -> None:
         self.calls = 0
         self.coalitions = set()
@@ -362,13 +439,19 @@ class ExternalOracle(CoalitionValueOracle):
         super().__init__(schema)
         command = os.environ.get("KPSHAP_ORACLE_CMD", command)
         env_timeout = os.environ.get("KPSHAP_ORACLE_TIMEOUT")
+        where = "oracle timeout"
         if env_timeout is not None:
+            where = "KPSHAP_ORACLE_TIMEOUT"
             try:
                 timeout = float(env_timeout)
             except ValueError:
                 raise OracleError(
                     f"KPSHAP_ORACLE_TIMEOUT={env_timeout!r} is not a number", code="oracle-io"
                 ) from None
+        if not (math.isfinite(timeout) and timeout > 0):
+            raise OracleError(
+                f"{where} must be a finite number of seconds > 0, got {timeout}", code="oracle-io"
+            )
         argv = shlex.split(command) if isinstance(command, str) else list(command)
         if not argv:
             raise OracleError("empty oracle command", code="oracle-io")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, _csv_rows, _float_cells, _write_table
-from .oracle import Coalition, CoalitionValueOracle
+from .oracle import CoalitionValueOracle
 from .rng import generator, mix64
 from .skeleton import KeypointSchema, canonical_name
 
@@ -134,23 +134,25 @@ def delta_perf_matrix(
 ) -> DeltaMatrix:
     """Hide each keypoint alone, average over m trials, clamp drops at 0.
 
-    The unperturbed reference uses the same trial set as the perturbed runs.
-    Trial indices are derived from (seed, t), so the oracle's counter-based
-    noise is reproducible and independent of evaluation order.
+    Each trial is one eval_many batch: the full coalition, then each
+    keypoint hidden in turn. The unperturbed reference uses the same trial
+    set as the perturbed runs. Trial indices are derived from (seed, t), so
+    the oracle's counter-based noise is reproducible and independent of
+    evaluation order.
     """
     if m < 1:
         raise DataError(f"trial count must be >= 1, got {m}")
     n = oracle.schema.n
-    full = Coalition.full(n)
-    trials = [mix64("delta-trial", seed, t) for t in range(m)]
-    tasks = [(full, t) for t in trials]
-    tasks += [(full.without(j), t) for j in range(n) for t in trials]
-    results = [oracle.eval(instances, coalition, trial) for coalition, trial in tasks]
+    full = (1 << n) - 1
+    masks = [full] + [full & ~(1 << j) for j in range(n)]
+    sweeps = [
+        oracle.eval_many(instances, masks, mix64("delta-trial", seed, t)) for t in range(m)
+    ]
 
-    baseline = np.mean(results[:m], axis=0)
+    baseline = np.mean([sweep[0] for sweep in sweeps], axis=0)
     drops = np.zeros((n, n), dtype=np.float64)
     for j in range(n):
-        perturbed = np.mean(results[m * (j + 1) : m * (j + 2)], axis=0)
+        perturbed = np.mean([sweep[j + 1] for sweep in sweeps], axis=0)
         drops[:, j] = np.maximum(0.0, baseline - perturbed)
     return DeltaMatrix(oracle.schema.names, baseline, drops)
 

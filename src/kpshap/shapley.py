@@ -8,10 +8,10 @@ over at most a handful of players, so the budget collapses from 2^n to
 sum_k 2^|G_k| + 2^g.
 
 The stages are listed in one place (``_stages``): one per group, then the
-group stage. Each stage is evaluated once, in order, and one
-weighted-difference pass prices all of its targets, so the oracle sees each
-stage coalition exactly once no matter how many targets it serves, and the
-budget is the summed stage sizes.
+group stage. Each stage is submitted to the oracle as one ``eval_many``
+batch, and one weighted-difference pass prices all of its targets, so the
+oracle sees each stage coalition exactly once no matter how many targets it
+serves, and the budget is the summed stage sizes.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import DataError
 from .grouping import Grouping
-from .oracle import Coalition, CoalitionValueOracle, _read_coalition_table, _write_coalition_table
+from .oracle import CoalitionValueOracle, _read_coalition_table, _write_coalition_table
 from .rng import generator
 from .skeleton import KeypointSchema
 
@@ -233,29 +233,27 @@ def group_label(k: int) -> str:
 
 
 def _stage_tables(oracle, grouping: Grouping, k: int, instances, trial):
-    """Evaluate stage k once, in order, and price every target it serves.
+    """Evaluate stage k as one batch and price every target it serves.
 
     Stages 0..g-1 are the within-group stages and give one table per member
     of group k; stage g is the group stage and gives one table per group.
     Returns (coalition bits, tables). The (2^players, n) value array lives
     only for this call.
     """
-    n = grouping.n
-    bits = _coalitions(_stages(grouping)[k], n)
-    values = np.empty((len(bits), oracle.schema.n), dtype=np.float64)
-    for row, b in zip(values, bits):
-        row[:] = oracle.eval(instances, Coalition(b, n), trial)
+    bits = _coalitions(_stages(grouping)[k], grouping.n)
+    values = oracle.eval_many(instances, bits, trial)
     if k < grouping.g:
         members = list(grouping.groups[k])
         players = tuple(oracle.schema.names[i] for i in members)
         return bits, _tables(values[:, members], players, players)
     # a group coalition's value is the target group's mean performance, one
-    # 1-D mean per coalition: a 2-D mean(axis=1) rounds differently once a
-    # group has 8 or more members
+    # 1-D sum per coalition divided by the group size, which is what np.mean
+    # of a 1-D row does: a 2-D mean(axis=1) rounds differently once a group
+    # has 8 or more members
     means = np.empty((len(bits), grouping.g), dtype=np.float64)
     for h, members in enumerate(grouping.groups):
         for m, row in enumerate(values[:, list(members)]):
-            means[m, h] = np.mean(row)
+            means[m, h] = np.add.reduce(row) / len(members)
     labels = tuple(group_label(h) for h in range(grouping.g))
     return bits, _tables(means, labels, labels)
 
@@ -306,14 +304,21 @@ def normalize_nonneg(values) -> np.ndarray:
     return arr / total
 
 
+def _check_trials(trials: int) -> None:
+    if trials < 1:
+        raise DataError(f"trial count must be >= 1, got {trials}")
+
+
 def query_count(grouping: Grouping, trials: int = 1) -> QueryBudget:
     """Predicted budget of a full coarse-to-fine run (per instance batch)."""
+    _check_trials(trials)
     calls = sum(1 << len(players) for players in _stages(grouping))
     return QueryBudget(calls, calls * trials)
 
 
 def exact_query_count(n: int, trials: int = 1) -> QueryBudget:
     """Budget of pricing all n keypoints jointly: the full 2^n sweep."""
+    _check_trials(trials)
     distinct = 1 << n
     return QueryBudget(distinct, distinct * trials)
 

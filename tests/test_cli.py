@@ -276,6 +276,56 @@ def test_missing_coalition_exit_4(capsys, fixtures_dir, tmp_path):
     assert err.startswith("error(")
 
 
+def _kpshap(*argv, **env):
+    """Run the CLI in a fresh process with the oracle overrides cleared and
+    ``env`` added; returns the CompletedProcess with stderr as text."""
+    package_root = str(Path(kpshap.__file__).resolve().parent.parent)
+    base = {k: v for k, v in os.environ.items() if not k.startswith("KPSHAP_ORACLE_")}
+    base["PYTHONPATH"] = os.pathsep.join([package_root, os.environ.get("PYTHONPATH", "")])
+    return subprocess.run(
+        [sys.executable, "-m", "kpshap", *argv],
+        env={**base, **env},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+
+
+@pytest.mark.parametrize(
+    "flag, env",
+    [("nan", None), ("inf", None), ("-1", None), ("0", None), ("30", "nan"), ("30", "inf"), ("30", "0")],
+)
+def test_bad_oracle_timeout_exit_4(fixtures_dir, tmp_path, flag, env):
+    # refused before the child starts: no selector error, no orphaned child
+    serve = f"{sys.executable} -m kpshap oracle serve-synthetic --config {fixtures_dir / 'synthetic17.json'}"
+    argv = ["interdep", "--oracle-cmd", serve, f"--timeout={flag}"]
+    argv += ["--out-delta", str(tmp_path / "d.csv"), "--out-pi", str(tmp_path / "pi.csv")]
+    proc = _kpshap(*argv, **({"KPSHAP_ORACLE_TIMEOUT": env} if env else {}))
+    assert proc.returncode == 4, proc.stderr
+    where = "KPSHAP_ORACLE_TIMEOUT" if env else "oracle timeout"
+    assert proc.stderr.startswith(f"error(oracle-io): {where} must be a finite number of seconds > 0")
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "d.csv").exists()
+
+
+def test_duplicate_instance_ids_exit_3(capsys, fixtures_dir, tmp_path):
+    code, _, err = run(
+        capsys,
+        "interdep",
+        "--synthetic",
+        str(fixtures_dir / "synthetic17.json"),
+        "--instances",
+        "0,0",
+        "--out-delta",
+        str(tmp_path / "d.csv"),
+        "--out-pi",
+        str(tmp_path / "pi.csv"),
+    )
+    assert code == 3
+    assert err.startswith("error(duplicate-instance): instance id '0' is listed twice")
+    assert not (tmp_path / "d.csv").exists()
+
+
 def test_version_banner(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
@@ -301,6 +351,13 @@ def test_cost_rejects_inconsistent_sizes(capsys):
     code, _, err = run(capsys, "cost", "--groups", "5,3", "--n", "17")
     assert code == 3
     assert "sum" in err
+
+
+@pytest.mark.parametrize("trials", ["0", "-2"])
+def test_cost_rejects_non_positive_trials(capsys, trials):
+    code, _, err = run(capsys, "cost", "--groups", "5,3,3,3,3", "--n", "17", "--trials", trials)
+    assert code == 3
+    assert err.startswith(f"error(data): trial count must be >= 1, got {trials}")
 
 
 @pytest.mark.parametrize(

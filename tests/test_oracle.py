@@ -1,18 +1,26 @@
+import functools
+import random
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kpshap import (
     Coalition,
+    CoalitionValueOracle,
     CountingOracle,
     DataError,
     MissingCoalitionError,
     SyntheticModelConfig,
     SyntheticOracle,
     TabularOracle,
+    delta_perf_matrix,
+    generator,
     load_schema,
     load_tabular_oracle,
+    query_count,
+    run_group_attribution,
     write_oracle_table,
 )
 
@@ -167,6 +175,10 @@ def test_reserved_instance_id_rejected():
         oracle.eval(("all",), Coalition.full(3))
     with pytest.raises(DataError):
         oracle.eval((), Coalition.full(3))
+    with pytest.raises(DataError, match="reserved"):
+        oracle.eval_many(("all",), [7])
+    with pytest.raises(DataError, match="empty"):
+        oracle.eval_many((), [7])
 
 
 def test_width_mismatch_rejected():
@@ -263,3 +275,167 @@ def test_describe_identities():
     assert synth.describe() == f"synthetic:{make_config().digest()}"
     counted = CountingOracle(synth)
     assert counted.describe().startswith("counting(synthetic:")
+
+
+# --- eval_many: the batched primitive ---------------------------------------
+
+
+def reference_eval(config: SyntheticModelConfig, instances, bits: int, trial: int) -> np.ndarray:
+    """The synthetic model scored one coalition at a time, with the plain
+    per-row formula: the reference eval_many must match bit for bit."""
+    base = np.asarray(config.base, dtype=np.float64)
+    recovery = np.asarray(config.recovery, dtype=np.float64)
+    n = len(base)
+    ids = ("0",) if instances == "all" else tuple(instances)
+    vis = np.zeros(n, dtype=np.float64)
+    for i in range(n):
+        if bits >> i & 1:
+            vis[i] = 1.0
+    core = base * vis + base * (recovery @ vis) * (1.0 - vis)
+    if config.noise_sd == 0.0:
+        return np.clip(core, 0.0, 1.0)
+    acc = np.zeros(n, dtype=np.float64)
+    digest = config_digest(config)
+    for iid in ids:
+        eps = generator("synthetic-noise", digest, iid, bits, trial).normal(
+            0.0, config.noise_sd, size=n
+        )
+        acc += np.clip(core + eps, 0.0, 1.0)
+    return acc / len(ids)
+
+
+config_digest = functools.cache(SyntheticModelConfig.digest)
+
+
+@functools.cache
+def wide_oracle(n: int, noise: float) -> SyntheticOracle:
+    return SyntheticOracle(wide_config(n, noise), tiny_schema(n))
+
+
+@functools.cache
+def wide_config(n: int, noise: float) -> SyntheticModelConfig:
+    """A dense n-keypoint model whose hidden keypoints recover up to 95%."""
+    rng = np.random.default_rng(n)
+    recovery = rng.random((n, n))
+    np.fill_diagonal(recovery, 0.0)
+    recovery *= rng.uniform(0.3, 0.95, size=(n, 1)) / recovery.sum(axis=1, keepdims=True)
+    base = rng.uniform(0.4, 1.0, size=n)
+    return SyntheticModelConfig(tuple(base), tuple(map(tuple, recovery)), noise)
+
+
+def _random_masks(n: int, rows: int, seed: int) -> list[int]:
+    """rows random coalitions of n keypoints, the empty and the full one among them."""
+    rng = random.Random(seed)
+    masks = [rng.getrandbits(n) for _ in range(rows)]
+    first, second = rng.sample(range(rows), 2)
+    masks[first], masks[second] = 0, (1 << n) - 1
+    return masks
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n=st.sampled_from([17, 133]),
+    noise=st.sampled_from([0.0, 0.05]),
+    instances=st.sampled_from(["all", ("3", "x")]),
+    rows=st.integers(2, 300),
+    seed=st.integers(0, 2**32 - 1),
+    trial=st.integers(0, 2**63 - 1),
+)
+@example(n=133, noise=0.05, instances=("3", "x"), rows=520, seed=0, trial=7)
+@example(n=17, noise=0.0, instances="all", rows=257, seed=1, trial=0)
+def test_eval_many_rows_match_the_one_row_reference(n, noise, instances, rows, seed, trial):
+    config = wide_config(n, noise)
+    oracle = wide_oracle(n, noise)
+    masks = _random_masks(n, rows, seed)
+    got = oracle.eval_many(instances, masks, trial)
+    assert got.shape == (rows, n) and not got.flags.writeable
+    for row, bits in zip(got, masks):
+        assert row.tobytes() == reference_eval(config, instances, bits, trial).tobytes()
+    # eval is a one-row batch of the same model
+    one = oracle.eval(instances, Coalition(masks[-1], n), trial)
+    assert one.tobytes() == got[-1].tobytes()
+
+
+def test_eval_many_of_no_masks_is_empty():
+    oracle = SyntheticOracle(make_config(noise=0.05), tiny_schema())
+    assert oracle.eval_many("all", [], 0).shape == (0, 3)
+
+
+def test_counting_oracle_counts_a_batch_exactly():
+    schema = tiny_schema()
+    inner = SyntheticOracle(make_config(noise=0.05), schema)
+    counted = CountingOracle(inner)
+    got = counted.eval_many(("a",), [7, 7, 0, 5], trial=3)
+    assert counted.calls == 4
+    assert counted.coalitions == {7, 0, 5}
+    assert np.array_equal(got, inner.eval_many(("a",), [7, 7, 0, 5], trial=3))
+    counted.eval("all", Coalition(2, 3))
+    assert counted.calls == 5 and counted.coalitions == {7, 0, 5, 2}
+
+
+class RecordingOracle(CoalitionValueOracle):
+    """A wrapper that overrides only the public eval, as tracing wrappers do."""
+
+    def __init__(self, inner):
+        super().__init__(inner.schema)
+        self.inner = inner
+        self.seen = []
+
+    def eval(self, instances, coalition, trial=0):
+        self.seen.append(coalition.bits)
+        return self.inner.eval(instances, coalition, trial)
+
+
+def test_wrapper_overriding_only_eval_sees_every_coalition(
+    schema, expected_grouping, synthetic_config
+):
+    plain = SyntheticOracle(synthetic_config, schema)
+    wrapped = RecordingOracle(SyntheticOracle(synthetic_config, schema))
+    report, budget = run_group_attribution(wrapped, expected_grouping, trial=4)
+    want = query_count(expected_grouping).oracle_calls
+    assert len(wrapped.seen) == budget.oracle_calls == want
+    assert len(set(wrapped.seen)) == budget.distinct_coalitions
+    assert report.to_json_dict() == run_group_attribution(plain, expected_grouping, trial=4)[0].to_json_dict()
+    wrapped.seen.clear()
+    delta = delta_perf_matrix(wrapped, m=2, seed=9)
+    assert len(wrapped.seen) == 2 * (schema.n + 1)
+    assert np.array_equal(delta.drops, delta_perf_matrix(plain, m=2, seed=9).drops)
+
+
+@pytest.mark.parametrize("masks", [[-1], [5, -1], [1 << 3], [0, 7, 9], [1 << 200]])
+def test_eval_many_rejects_masks_out_of_range(masks):
+    schema = tiny_schema()
+    counted = CountingOracle(SyntheticOracle(make_config(), schema))
+    with pytest.raises(DataError, match="out of range for n=3"):
+        counted.eval_many("all", masks)
+    assert counted.calls == 0
+
+
+class NaNOracle(CoalitionValueOracle):
+    def _eval(self, instances, coalition, trial):
+        return np.full(self.schema.n, np.nan)
+
+
+class BatchedOutOfRangeOracle(CoalitionValueOracle):
+    def _eval_many(self, instances, masks, trial):
+        return np.full((len(masks), self.schema.n), 1.5)
+
+
+def test_eval_many_refuses_bad_values_from_custom_oracles():
+    schema = tiny_schema()
+    with pytest.raises(DataError, match="non-finite"):
+        NaNOracle(schema).eval_many("all", [0, 7])
+    with pytest.raises(DataError, match="non-finite"):
+        CountingOracle(NaNOracle(schema)).eval_many("all", [7])
+    with pytest.raises(DataError, match=r"outside \[0, 1\]"):
+        BatchedOutOfRangeOracle(schema).eval_many("all", [7])
+
+
+@pytest.mark.parametrize("instances", [("0", "0"), ("a", 0, "0")])
+def test_duplicate_instance_ids_rejected(instances):
+    # a repeated id would count that instance twice in the mean
+    oracle = SyntheticOracle(make_config(noise=0.05), tiny_schema())
+    with pytest.raises(DataError, match="instance id '0' is listed twice"):
+        oracle.eval(instances, Coalition.full(3))
+    with pytest.raises(DataError, match="instance id '0' is listed twice"):
+        oracle.eval_many(instances, [7])

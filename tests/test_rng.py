@@ -3,6 +3,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from kpshap import derive_key, generator, mix64
+from kpshap.rng import rekey
 
 part = st.one_of(st.integers(), st.text(max_size=20))
 
@@ -45,3 +46,17 @@ def test_mix64_range(parts):
 def test_key_range(parts):
     v = derive_key(*parts)
     assert 0 <= v < 1 << 128
+
+
+@given(st.lists(part, min_size=1, max_size=4), st.lists(part, min_size=1, max_size=4), st.integers(0, 9))
+def test_rekey_restarts_at_the_stream_of_a_new_generator(first, second, drawn):
+    # a generator re-keyed after any number of draws (the buffer part-used)
+    # continues exactly as a new generator with the new key would start
+    g = generator(*first)
+    g.random(drawn)
+    g.integers(0, 7, size=drawn, dtype=np.uint32)
+    rekey(g, *second)
+    fresh = generator(*second)
+    assert np.array_equal(g.normal(0.0, 0.05, size=133), fresh.normal(0.0, 0.05, size=133))
+    assert np.array_equal(g.integers(0, 7, size=5, dtype=np.uint32), fresh.integers(0, 7, size=5, dtype=np.uint32))
+    assert str(g.bit_generator.state) == str(fresh.bit_generator.state)

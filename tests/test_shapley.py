@@ -272,6 +272,15 @@ def test_budget_validation():
         QueryBudget(10, 5)
 
 
+@pytest.mark.parametrize("trials", [0, -2])
+def test_budgets_need_a_trial(expected_grouping, trials):
+    message = f"trial count must be >= 1, got {trials}"
+    with pytest.raises(DataError, match=message):
+        query_count(expected_grouping, trials=trials)
+    with pytest.raises(DataError, match=message):
+        exact_query_count(17, trials=trials)
+
+
 def test_run_group_attribution_simplex_rows(schema, expected_grouping, synthetic_config):
     oracle = SyntheticOracle(synthetic_config, schema)
     report, budget = run_group_attribution(oracle, expected_grouping)
