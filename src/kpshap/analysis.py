@@ -148,11 +148,13 @@ RAMP_LOW = (0xF7, 0xFB, 0xFF)
 RAMP_HIGH = (0x08, 0x30, 0x6B)
 
 
-def _ramp_color(t: float) -> str:
-    channels = (
-        int(math.floor(lo + (hi - lo) * t + 0.5)) for lo, hi in zip(RAMP_LOW, RAMP_HIGH)
-    )
-    return "#%02x%02x%02x" % tuple(channels)
+def _ramp_rgb(t: np.ndarray) -> np.ndarray:
+    """The ramp colour 0xrrggbb at each position of ``t``: every channel is
+    floor(lo + (hi - lo) * t + 0.5), computed for all positions at once."""
+    rgb = np.zeros(t.shape, dtype=np.int64)
+    for lo, hi in zip(RAMP_LOW, RAMP_HIGH):
+        rgb = rgb << 8 | np.floor(lo + (hi - lo) * t + 0.5).astype(np.int64)
+    return rgb
 
 
 def _esc(text: str) -> str:
@@ -182,17 +184,22 @@ def render_heatmap(matrix, labels) -> str:
     vmin = float(arr.min())
     vmax = float(arr.max())
     span = vmax - vmin
+    if math.isinf(span):
+        raise DataError(f"heatmap value range [{vmin:.10g}, {vmax:.10g}] overflows")
     cell = 44
     pad = 8
     label_px = max(len(s) for s in labels) * 7 + 2 * pad
     width = label_px + n * cell + pad
     height = label_px + n * cell + pad
+    low, high = _ramp_rgb(np.array([0.0, 1.0])).tolist()
+    t = np.ones_like(arr) if span == 0.0 else (arr - vmin) / span
+    rgb = _ramp_rgb(t)
+    dark = t > 0.55
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">',
-        f"<desc>linear ramp {_ramp_color(0.0)} at {vmin:.10g} to "
-        f"{_ramp_color(1.0)} at {vmax:.10g}</desc>",
+        f"<desc>linear ramp #{low:06x} at {vmin:.10g} to #{high:06x} at {vmax:.10g}</desc>",
         '<g font-family="monospace" font-size="11">',
     ]
     for j, name in enumerate(labels):
@@ -206,21 +213,18 @@ def render_heatmap(matrix, labels) -> str:
         out.append(
             f'<text x="{label_px - pad}" y="{y}" text-anchor="end">{_esc(name)}</text>'
         )
+    xs = [label_px + j * cell for j in range(n)]
+    rects = [f'<rect x="{x}" y="' for x in xs]
+    texts = [f'<text x="{x + cell // 2}" y="' for x in xs]
     for i in range(n):
-        for j in range(n):
-            v = float(arr[i, j])
-            t = 1.0 if span == 0.0 else (v - vmin) / span
-            x = label_px + j * cell
-            y = label_px + i * cell
-            out.append(
-                f'<rect x="{x}" y="{y}" width="{cell}" height="{cell}" '
-                f'fill="{_ramp_color(t)}" stroke="#ffffff" stroke-width="1"/>'
-            )
-            ink = "#ffffff" if t > 0.55 else "#000000"
-            out.append(
-                f'<text x="{x + cell // 2}" y="{y + cell // 2 + 4}" '
-                f'text-anchor="middle" fill="{ink}">{v:.3g}</text>'
-            )
+        y = label_px + i * cell
+        rect_y = f'{y}" width="{cell}" height="{cell}" fill="'
+        text_y = f'{y + cell // 2 + 4}" text-anchor="middle" fill="'
+        cells = zip(rects, texts, rgb[i].tolist(), dark[i].tolist(), arr[i].tolist())
+        for rect, text, fill, white, v in cells:
+            ink = "#ffffff" if white else "#000000"
+            out.append(f'{rect}{rect_y}#{fill:06x}" stroke="#ffffff" stroke-width="1"/>')
+            out.append(f'{text}{text_y}{ink}">{v:.3g}</text>')
     out.append("</g>")
     out.append("</svg>")
     return "\n".join(out) + "\n"

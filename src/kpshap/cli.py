@@ -94,7 +94,7 @@ def _add_oracle_flags(p):
         "--timeout",
         type=float,
         default=30.0,
-        help="external oracle response timeout in seconds (default 30)",
+        help="longest wait for progress on the external oracle's pipes, in seconds (default 30)",
     )
 
 

@@ -16,7 +16,7 @@ still sees every coalition. Three backends share the interface:
   scored a block of rows at a time;
 - tabular: exact lookup in a CSV of precomputed values;
 - external: a child process speaking line-delimited JSON over stdin/stdout,
-  one request per coalition.
+  one request per coalition, a whole batch pipelined.
 
 Wire protocol (external backend). The child prints a handshake first:
 
@@ -29,9 +29,16 @@ then answers one request per line:
     -> {"error": "message"}            (failure)
 
 ``instances`` is ["all"] or a list of instance id strings; "all" is reserved.
+A client may send every request of a batch before it reads any reply, and
+ExternalOracle does. A server must therefore read its requests line by line,
+as ``serve`` does, and answer them in order, one reply line per request.
+The client captures the child's stderr and quotes its tail, with the exit
+code, when the child fails.
+
 Environment overrides: KPSHAP_ORACLE_CMD replaces the child command line,
-KPSHAP_ORACLE_TIMEOUT (seconds) replaces the I/O timeout. A timeout must be
-finite and > 0.
+KPSHAP_ORACLE_TIMEOUT (seconds) replaces the timeout. The timeout bounds each
+wait for progress on the pipes (request bytes written or reply bytes read),
+not a whole batch; it must be finite and > 0.
 """
 
 from __future__ import annotations
@@ -41,6 +48,7 @@ import json
 import math
 import operator
 import os
+import select
 import selectors
 import shlex
 import subprocess
@@ -67,6 +75,11 @@ ALL_INSTANCES = "all"
 # SyntheticOracle scores a batch this many rows at a time, so a whole-stage
 # batch (thousands of rows) does not hold all its temporaries at once.
 _BLOCK_ROWS = 256
+
+# ExternalOracle reads its child's pipes this many bytes at a time (a pipe
+# holds 64 KiB by default) and keeps this much of the child's stderr.
+_PIPE_READ = 65536
+_STDERR_TAIL = 4096
 
 
 @dataclass(frozen=True)
@@ -312,6 +325,11 @@ class SyntheticOracle(CoalitionValueOracle):
         self._base = np.asarray(config.base, dtype=np.float64)
         self._recovery = np.asarray(config.recovery, dtype=np.float64)
         self._digest = config.digest()
+        # One Philox for every noisy row this oracle scores, re-keyed per
+        # row, so that a one-row call does not pay for building a new one.
+        # Built on first use: the first Philox of a process loads numpy's
+        # random module, which costs more than the rest of the set-up.
+        self._noise = None
 
     def _eval(self, instances, coalition: Coalition, trial: int) -> np.ndarray:
         return self._eval_many(instances, [coalition.bits], trial)[0]
@@ -320,13 +338,15 @@ class SyntheticOracle(CoalitionValueOracle):
         """The model, _BLOCK_ROWS rows at a time. Each row is scored exactly
         as alone: the recovery product is one gemv per row (a gemm over the
         block sums in another order), the rest is elementwise, and each
-        (instance, coalition, trial) draws its own keyed noise stream."""
+        (instance, coalition, trial) draws its own keyed noise stream from
+        the re-keyed self._noise, so one oracle is not for concurrent use."""
         n = self.schema.n
         ids = ("0",) if instances == ALL_INSTANCES else instances
         sd = self.config.noise_sd
         width = (n + 7) // 8
         out = np.empty((len(masks), n), dtype=np.float64)
-        noise = None
+        if sd and self._noise is None:
+            self._noise = generator("synthetic-noise")
         for start in range(0, len(masks), _BLOCK_ROWS):
             block = masks[start : start + _BLOCK_ROWS]
             packed = np.frombuffer(b"".join(m.to_bytes(width, "little") for m in block), np.uint8)
@@ -343,12 +363,8 @@ class SyntheticOracle(CoalitionValueOracle):
             for iid in ids:
                 eps = []
                 for mask in block:
-                    key = ("synthetic-noise", self._digest, iid, mask, trial)
-                    if noise is None:
-                        noise = generator(*key)
-                    else:
-                        rekey(noise, *key)
-                    eps.append(noise.normal(0.0, sd, size=n))
+                    rekey(self._noise, "synthetic-noise", self._digest, iid, mask, trial)
+                    eps.append(self._noise.normal(0.0, sd, size=n))
                 part = np.clip(core + eps, 0.0, 1.0)
                 acc = part if acc is None else acc + part
             np.divide(acc, len(ids), out=rows)
@@ -433,7 +449,12 @@ class CountingOracle(CoalitionValueOracle):
 
 
 class ExternalOracle(CoalitionValueOracle):
-    """Client for a child process speaking the line-JSON protocol above."""
+    """Client for a child process speaking the line-JSON protocol above.
+
+    A batch is one full-duplex exchange: every request is written to the
+    child's stdin while its replies, and its stderr, are read, so a batch of
+    any size finishes without either side blocking on a full pipe.
+    """
 
     def __init__(self, command, schema: KeypointSchema, timeout: float = 30.0):
         super().__init__(schema)
@@ -458,127 +479,187 @@ class ExternalOracle(CoalitionValueOracle):
         self.command = argv
         self.timeout = timeout
         self._buf = b""
+        self._stderr = b""
         self._broken: OracleError | None = None
         try:
             self._proc = subprocess.Popen(
-                argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE
+                argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE
             )
         except OSError as e:
             raise OracleError(f"cannot start oracle {argv[0]!r}: {e}", code="oracle-io") from e
+        os.set_blocking(self._proc.stdin.fileno(), False)
         self._sel = selectors.DefaultSelector()
         self._sel.register(self._proc.stdout, selectors.EVENT_READ)
+        self._sel.register(self._proc.stderr, selectors.EVENT_READ)
         try:
-            hello = self._read_message()
-        except OracleError as e:
-            raise self._fail(e)
-        if hello.get("op") != "hello":
-            raise self._fail(
-                OracleError(f"expected hello handshake, got {hello!r}", code="oracle-io")
-            )
-        names = tuple(hello.get("names", ()))
-        if hello.get("n") != schema.n or names != schema.names:
+            (hello,) = self._exchange(b"", 1)
+            if hello.get("op") != "hello":
+                raise self._fail(f"expected hello handshake, got {hello!r}")
+            names = tuple(hello.get("names", ()))
+            if hello.get("n") != schema.n or names != schema.names:
+                raise OracleError(
+                    f"oracle schema mismatch: child has n={hello.get('n')} names={names}, "
+                    f"expected n={schema.n} names={schema.names}",
+                    code="schema-mismatch",
+                )
+        except OracleError:
             self.close()
-            raise OracleError(
-                f"oracle schema mismatch: child has n={hello.get('n')} names={names}, "
-                f"expected n={schema.n} names={schema.names}",
-                code="schema-mismatch",
-            )
+            raise
 
-    def _fail(self, err: OracleError) -> OracleError:
-        """Kill the child and refuse every later call.
+    def _fail(self, what: str, grace: float = 0.0) -> OracleError:
+        """Stop the child, refuse every later call and return the error to
+        raise: ``what``, how the child ended and the tail of its stderr.
 
         After a timeout or I/O error the child's late or partial reply would
         be read as the answer to the next request, so the stream is dropped.
+        A child that closed its end of a pipe gets ``grace`` seconds to exit
+        on its own, so that its exit code can be quoted.
         """
-        self._broken = err
-        if self._proc.poll() is None:
-            self._proc.kill()
-        self._proc.wait()
-        return err
-
-    def _read_line(self) -> bytes:
-        deadline = time.monotonic() + self.timeout
-        while b"\n" not in self._buf:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                raise OracleError(
-                    f"oracle timed out after {self.timeout}s (buffered: {self._buf[:200]!r})",
-                    code="oracle-io",
-                )
-            if not self._sel.select(timeout=remaining):
-                continue
-            chunk = os.read(self._proc.stdout.fileno(), 65536)
-            if not chunk:
-                raise OracleError(
-                    f"oracle closed its output (exit={self._proc.poll()}, "
-                    f"buffered: {self._buf[:200]!r})",
-                    code="oracle-io",
-                )
-            self._buf += chunk
-        line, self._buf = self._buf.split(b"\n", 1)
-        return line
-
-    def _read_message(self) -> dict:
-        line = self._read_line()
+        proc = self._proc
         try:
-            msg = json.loads(line)
-        except json.JSONDecodeError:
-            raise OracleError(f"oracle sent non-JSON line: {line[:200]!r}", code="oracle-io") from None
-        if not isinstance(msg, dict):
-            raise OracleError(f"oracle sent non-object message: {line[:200]!r}", code="oracle-io")
-        return msg
+            proc.wait(timeout=grace)
+            ended = f"exited with {proc.returncode}"
+        except subprocess.TimeoutExpired:
+            proc.kill()
+            proc.wait()
+            ended = "killed"
+        # the child is gone, so whatever it wrote to stderr is in the pipe
+        stderr = proc.stderr.fileno()
+        if select.select([stderr], [], [], 0)[0]:
+            self._keep_stderr(os.read(stderr, _PIPE_READ))
+        tail = self._stderr.decode("utf-8", "replace").strip()
+        self._broken = OracleError(
+            f"{what}; oracle {ended}, stderr: {tail!r}" if tail else f"{what}; oracle {ended}",
+            code="oracle-io",
+        )
+        return self._broken
 
-    def _eval(self, instances, coalition: Coalition, trial: int) -> np.ndarray:
-        request = {
-            "op": "eval",
-            "instances": [ALL_INSTANCES] if instances == ALL_INSTANCES else list(instances),
-            "visible": list(coalition.indices()),
-            "trial": trial,
-        }
+    def _keep_stderr(self, chunk: bytes) -> None:
+        self._stderr = (self._stderr + chunk)[-_STDERR_TAIL:]
+
+    def _exchange(self, requests: bytes, replies: int) -> list[dict]:
+        """Write ``requests`` to the child and read ``replies`` reply lines,
+        as JSON objects, in one loop that also drains the child's stderr.
+
+        The timeout bounds each wait for progress (request bytes written or
+        reply bytes read), not the whole exchange. A timeout, a closed or
+        failed pipe or a reply that is not a JSON object ends the child.
+        """
         if self._broken is not None:
             raise OracleError(
                 f"oracle unusable after an earlier failure: {self._broken}", code="oracle-io"
             )
+        proc = self._proc
+        stdin, stdout, stderr = proc.stdin, proc.stdout, proc.stderr
+        pending = memoryview(requests)
+        if pending:
+            self._sel.register(stdin, selectors.EVENT_WRITE)
+        chunks = [self._buf]
+        lines = self._buf.count(b"\n")
+        deadline = time.monotonic() + self.timeout
         try:
-            if self._proc.poll() is not None:
-                raise OracleError(
-                    f"oracle process exited with {self._proc.returncode}", code="oracle-io"
-                )
+            while lines < replies or pending:
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    buffered = b"".join(chunks)[:200]
+                    raise self._fail(
+                        f"oracle timed out after {self.timeout}s (buffered: {buffered!r})"
+                    )
+                for key, _ in self._sel.select(remaining):
+                    if key.fileobj is stdin:
+                        try:
+                            sent = os.write(stdin.fileno(), pending)
+                        except BlockingIOError:
+                            continue
+                        pending = pending[sent:]
+                        if not pending:
+                            self._sel.unregister(stdin)
+                    elif key.fileobj is stdout:
+                        chunk = os.read(stdout.fileno(), _PIPE_READ)
+                        if not chunk:
+                            buffered = b"".join(chunks)[:200]
+                            raise self._fail(
+                                f"oracle closed its output (buffered: {buffered!r})", self.timeout
+                            )
+                        chunks.append(chunk)
+                        lines += chunk.count(b"\n")
+                    else:
+                        chunk = os.read(stderr.fileno(), _PIPE_READ)
+                        if not chunk:
+                            self._sel.unregister(stderr)
+                        self._keep_stderr(chunk)
+                        continue
+                    deadline = time.monotonic() + self.timeout
+        except OSError as e:
+            raise self._fail(f"oracle pipe failed: {e}", self.timeout) from e
+        *found, self._buf = b"".join(chunks).split(b"\n", replies)
+        messages = []
+        for line in found:
             try:
-                self._proc.stdin.write((_json_line(request) + "\n").encode())
-                self._proc.stdin.flush()
-            except OSError as e:
-                raise OracleError(f"cannot write to oracle: {e}", code="oracle-io") from e
-            msg = self._read_message()
-        except OracleError as e:
-            raise self._fail(e)
-        if "error" in msg:
-            raise OracleError(f"oracle reported: {msg['error']}")
-        if "values" not in msg:
-            raise OracleError(f"oracle response missing 'values': {msg!r}", code="oracle-io")
-        return np.asarray(msg["values"], dtype=np.float64)
+                msg = json.loads(line)
+            except ValueError:
+                raise self._fail(f"oracle sent non-JSON line: {line[:200]!r}") from None
+            if not isinstance(msg, dict):
+                raise self._fail(f"oracle sent non-object message: {line[:200]!r}")
+            messages.append(msg)
+        return messages
+
+    def _eval(self, instances, coalition: Coalition, trial: int) -> np.ndarray:
+        return self._eval_many(instances, [coalition.bits], trial)[0]
+
+    def _eval_many(self, instances, masks: list[int], trial: int) -> np.ndarray:
+        """One eval request line per mask, all written while the replies are
+        read; an error reply raises once every reply is in, so the stream
+        stays in step and the oracle stays usable."""
+        n = self.schema.n
+        if not masks:
+            return np.empty((0, n), dtype=np.float64)
+        ids = [ALL_INSTANCES] if instances == ALL_INSTANCES else list(instances)
+        requests = "".join(
+            _json_line(
+                {
+                    "op": "eval",
+                    "instances": ids,
+                    "visible": [i for i in range(mask.bit_length()) if mask >> i & 1],
+                    "trial": trial,
+                }
+            )
+            + "\n"
+            for mask in masks
+        )
+        replies = self._exchange(requests.encode(), len(masks))
+        for msg in replies:
+            if "error" in msg:
+                raise OracleError(f"oracle reported: {msg['error']}")
+            if "values" not in msg:
+                raise OracleError(f"oracle response missing 'values': {msg!r}", code="oracle-io")
+        try:
+            return np.array([msg["values"] for msg in replies], dtype=np.float64)
+        except (TypeError, ValueError) as e:
+            raise DataError(f"oracle sent malformed values: {e}") from None
 
     def describe(self) -> str:
         return "external:" + " ".join(self.command)
 
     def close(self) -> None:
-        if getattr(self, "_proc", None) is None:
+        proc = getattr(self, "_proc", None)
+        if proc is None:
             return
+        self._proc = None
         try:
             self._sel.close()
         except Exception:
             pass
-        if self._proc.poll() is None:
+        if proc.poll() is None:
             try:
-                self._proc.stdin.close()
-            except Exception:
-                pass
-            try:
-                self._proc.wait(timeout=2.0)
+                # closes stdin, the child's cue to exit, and drains its
+                # stdout and stderr so that it cannot block on them
+                proc.communicate(timeout=2.0)
             except subprocess.TimeoutExpired:
-                self._proc.kill()
-                self._proc.wait()
-        self._proc = None
+                proc.kill()
+                proc.wait()
+        for pipe in (proc.stdin, proc.stdout, proc.stderr):
+            pipe.close()
 
 
 def serve(oracle: CoalitionValueOracle, infile, outfile) -> None:

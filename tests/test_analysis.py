@@ -17,6 +17,7 @@ from kpshap import (
     write_confidence_csv,
     write_matrix_csv,
 )
+from kpshap.analysis import RAMP_HIGH, RAMP_LOW, _esc
 
 
 def table(rows, names=None):
@@ -273,3 +274,99 @@ def test_heatmap_rejects_bad_input():
         render_heatmap(np.array([[math.nan]]), ("a",))
     with pytest.raises(DataError):
         render_heatmap(np.eye(2), ("a",))
+    with pytest.raises(DataError):
+        render_heatmap([[1e308, 0.0], [0.0, -1e308]], ("a", "b"))  # span overflows
+
+
+def reference_heatmap(matrix, labels) -> str:
+    """render_heatmap as it was written first, one cell and one colour at a
+    time: the vectorized renderer must produce the same bytes."""
+    arr = np.asarray(matrix, dtype=np.float64)
+    labels = [str(x) for x in labels]
+
+    def ramp_color(t):
+        channels = (
+            int(math.floor(lo + (hi - lo) * t + 0.5)) for lo, hi in zip(RAMP_LOW, RAMP_HIGH)
+        )
+        return "#%02x%02x%02x" % tuple(channels)
+
+    n = len(labels)
+    vmin = float(arr.min())
+    vmax = float(arr.max())
+    span = vmax - vmin
+    cell = 44
+    pad = 8
+    label_px = max(len(s) for s in labels) * 7 + 2 * pad
+    width = label_px + n * cell + pad
+    height = label_px + n * cell + pad
+    out = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+        f'width="{width}" height="{height}" '
+        f'viewBox="0 0 {width} {height}">',
+        f"<desc>linear ramp {ramp_color(0.0)} at {vmin:.10g} to "
+        f"{ramp_color(1.0)} at {vmax:.10g}</desc>",
+        '<g font-family="monospace" font-size="11">',
+    ]
+    for j, name in enumerate(labels):
+        x = label_px + j * cell + cell // 2
+        out.append(
+            f'<text x="{x}" y="{label_px - pad}" text-anchor="start" '
+            f'transform="rotate(-90 {x} {label_px - pad})">{_esc(name)}</text>'
+        )
+    for i, name in enumerate(labels):
+        y = label_px + i * cell + cell // 2 + 4
+        out.append(f'<text x="{label_px - pad}" y="{y}" text-anchor="end">{_esc(name)}</text>')
+    for i in range(n):
+        for j in range(n):
+            v = float(arr[i, j])
+            t = 1.0 if span == 0.0 else (v - vmin) / span
+            x = label_px + j * cell
+            y = label_px + i * cell
+            out.append(
+                f'<rect x="{x}" y="{y}" width="{cell}" height="{cell}" '
+                f'fill="{ramp_color(t)}" stroke="#ffffff" stroke-width="1"/>'
+            )
+            ink = "#ffffff" if t > 0.55 else "#000000"
+            out.append(
+                f'<text x="{x + cell // 2}" y="{y + cell // 2 + 4}" '
+                f'text-anchor="middle" fill="{ink}">{v:.3g}</text>'
+            )
+    out.append("</g>")
+    out.append("</svg>")
+    return "\n".join(out) + "\n"
+
+
+_FINITE = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 12),
+    seed=st.integers(0, 2**32 - 1),
+    scale=st.sampled_from([1.0, 1e-9, 1e6]),
+    constant=st.one_of(st.none(), _FINITE),
+)
+def test_heatmap_matches_the_per_cell_reference(n, seed, scale, constant):
+    rng = np.random.default_rng(seed)
+    m = rng.standard_normal((n, n)) * scale if constant is None else np.full((n, n), constant)
+    if n > 1 and constant is None:
+        m[0, 1] = m[1, 0] = -0.0  # signed zeros and repeated values
+    labels = [f"k{i}" for i in range(n)]
+    assert render_heatmap(m, labels) == reference_heatmap(m, labels)
+
+
+@pytest.mark.parametrize(
+    "m",
+    [
+        np.random.default_rng(133).random((133, 133)),  # the wholebody size
+        np.linspace(0.0, 1.0, 400).reshape(20, 20),  # every ramp step
+        np.array([[0.0, 0.55], [1.0, 0.3]]),  # a cell exactly at the ink threshold
+        # half steps over a span of 239 (the red channel's): channel values
+        # that end in exactly .5, where rounding ties
+        np.concatenate([np.arange(0.0, 239.5, 0.5), np.full(5, 239.0)]).reshape(22, 22),
+    ],
+    ids=["wholebody", "grid", "ink-threshold", "rounding-ties"],
+)
+def test_heatmap_matches_the_per_cell_reference_on_fixed_matrices(m):
+    labels = [f"kp{i}" for i in range(len(m))]
+    assert render_heatmap(m, labels) == reference_heatmap(m, labels)

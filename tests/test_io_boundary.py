@@ -24,7 +24,7 @@ CATCHES_OSERROR = {
     ("manifest.py", "sha256_file"),
     ("cli.py", "cmd_gkr_apply"),  # creating the output directory
     ("oracle.py", "__init__"),  # the oracle child's process and pipes, not files
-    ("oracle.py", "_eval"),
+    ("oracle.py", "_exchange"),
 }
 
 

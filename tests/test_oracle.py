@@ -361,6 +361,31 @@ def test_eval_many_of_no_masks_is_empty():
     assert oracle.eval_many("all", [], 0).shape == (0, 3)
 
 
+_CALL = st.tuples(
+    st.booleans(),  # eval (one Coalition) or eval_many
+    st.sampled_from(["all", ("3", "x"), ("x",)]),
+    st.integers(0, 2**63 - 1),
+    st.lists(st.integers(0, (1 << 17) - 1), min_size=1, max_size=40),
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(noise=st.sampled_from([0.0, 0.05]), calls=st.lists(_CALL, min_size=2, max_size=8))
+def test_interleaved_calls_on_one_oracle_match_the_reference(noise, calls):
+    # the oracle keeps one noise generator across calls: no call may see
+    # state left by the one before it
+    config = wide_config(17, noise)
+    oracle = SyntheticOracle(config, tiny_schema(17))
+    for one, instances, trial, masks in calls:
+        if one:
+            masks = masks[:1]
+            got = [oracle.eval(instances, Coalition(masks[0], 17), trial)]
+        else:
+            got = oracle.eval_many(instances, masks, trial)
+        for row, bits in zip(got, masks):
+            assert row.tobytes() == reference_eval(config, instances, bits, trial).tobytes()
+
+
 def test_counting_oracle_counts_a_batch_exactly():
     schema = tiny_schema()
     inner = SyntheticOracle(make_config(noise=0.05), schema)

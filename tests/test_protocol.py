@@ -11,6 +11,7 @@ import pytest
 
 from kpshap import (
     Coalition,
+    DataError,
     ExternalOracle,
     OracleError,
     SyntheticOracle,
@@ -198,3 +199,204 @@ def test_cli_serve_synthetic_handshake(fixtures_dir):
     finally:
         proc.stdin.close()
         proc.wait(timeout=5)
+
+
+# --- pipelined batches ----------------------------------------------------
+
+# A scripted 3-keypoint child: hello, then per request line either a reply
+# (1.0 for each visible keypoint), or whatever ACT does at that line.
+SCRIPTED = """\
+import json, sys, time
+sys.stdout.write(json.dumps({{"op": "hello", "n": 3, "names": ["k0", "k1", "k2"]}}) + "\\n")
+sys.stdout.flush()
+for count, line in enumerate(sys.stdin):
+    visible = json.loads(line)["visible"]
+{act}
+    values = [1.0 if k in visible else 0.0 for k in range(3)]
+    sys.stdout.write(json.dumps({{"values": values}}) + "\\n")
+    sys.stdout.flush()
+"""
+
+
+def scripted_oracle(tmp_path, act, timeout=10.0):
+    script = tmp_path / "child.py"
+    script.write_text(SCRIPTED.format(act=act))
+    return ExternalOracle([sys.executable, str(script)], tiny_schema(), timeout=timeout)
+
+
+def indicator_rows(masks):
+    return np.array([[float(m >> k & 1) for k in range(3)] for m in masks])
+
+
+BIG_BATCH = """\
+import sys
+sys.path.insert(0, {root!r})
+import numpy as np
+from kpshap import ExternalOracle, SyntheticOracle
+from tests.test_oracle import make_config, tiny_schema
+from tests.test_protocol import SERVE_3KP
+masks = [int(m) for m in np.random.default_rng(3).integers(0, 8, size=20000)]
+with ExternalOracle(SERVE_3KP, tiny_schema()) as remote:
+    got = remote.eval_many("all", masks, 4)
+want = SyntheticOracle(make_config(), tiny_schema()).eval_many("all", masks, 4)
+assert got.tobytes() == want.tobytes()
+print("ok", got.shape)
+"""
+
+
+def test_batch_larger_than_both_pipe_buffers_completes():
+    # 20000 requests (about 1.2 MB) and their replies overflow both 64 KiB
+    # pipes: a client that blocked on its writes would never finish, so the
+    # batch runs in a subprocess with a hard deadline
+    done = subprocess.run(
+        [sys.executable, "-c", BIG_BATCH.format(root=_ROOT)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["ok", "(20000,", "3)"]
+
+
+def test_error_reply_mid_batch_keeps_the_stream_in_step(tmp_path):
+    act = """\
+    if visible == [1]:
+        sys.stdout.write(json.dumps({"error": "cannot score [1]"}) + "\\n")
+        sys.stdout.flush()
+        continue"""
+    with scripted_oracle(tmp_path, act) as remote:
+        with pytest.raises(OracleError) as exc:
+            remote.eval_many("all", [7, 3, 2, 5, 0], 0)
+        assert exc.value.code != "oracle-io"
+        assert "cannot score [1]" in str(exc.value)
+        # every reply of the failed batch was read: the next batch gets its own
+        masks = [5, 4, 1, 6, 3]
+        assert np.array_equal(remote.eval_many("all", masks, 0), indicator_rows(masks))
+
+
+def test_child_exiting_mid_batch_is_oracle_io_and_quotes_stderr(tmp_path):
+    act = """\
+    if count == 2:
+        sys.stderr.write("model weights missing\\n")
+        sys.exit(3)"""
+    remote = scripted_oracle(tmp_path, act)
+    try:
+        with pytest.raises(OracleError) as exc:
+            remote.eval_many("all", list(range(8)), 0)
+        assert exc.value.code == "oracle-io"
+        assert "model weights missing" in str(exc.value)
+        assert "exited with 3" in str(exc.value)
+        later_calls = (
+            lambda: remote.eval_many("all", [7], 0),
+            lambda: remote.eval("all", Coalition(7, 3)),
+        )
+        for call in later_calls:
+            with pytest.raises(OracleError) as later:
+                call()
+            assert later.value.code == "oracle-io" and "unusable" in str(later.value)
+    finally:
+        remote.close()
+
+
+def test_child_closing_its_output_is_waited_for(tmp_path):
+    # stdout ends before the child has said why or exited: the error still
+    # carries its exit code and its last words
+    act = """\
+    if count == 1:
+        __import__("os").close(1)
+        time.sleep(0.3)
+        sys.stderr.write("lost the GPU\\n")
+        sys.exit(7)"""
+    remote = scripted_oracle(tmp_path, act)
+    try:
+        with pytest.raises(OracleError) as exc:
+            remote.eval_many("all", [1, 2, 3], 0)
+        assert exc.value.code == "oracle-io" and "closed its output" in str(exc.value)
+        assert "exited with 7" in str(exc.value) and "lost the GPU" in str(exc.value)
+    finally:
+        remote.close()
+
+
+def test_child_stalling_mid_batch_times_out(tmp_path):
+    act = """\
+    if count == 2:
+        time.sleep(30)"""
+    remote = scripted_oracle(tmp_path, act, timeout=0.5)
+    try:
+        with pytest.raises(OracleError) as exc:
+            remote.eval_many("all", list(range(8)), 0)
+        assert exc.value.code == "oracle-io"
+        assert "timed out" in str(exc.value)
+        assert remote._proc.poll() is not None  # the child was killed
+        with pytest.raises(OracleError):
+            remote.eval_many("all", [7], 0)
+    finally:
+        remote.close()
+
+
+def test_child_flooding_stderr_mid_batch_does_not_hang(tmp_path):
+    # 200 KiB of stderr per request: a client that did not drain stderr
+    # would leave the child blocked on it and time out
+    act = """\
+    sys.stderr.write("log line of noise\\n" * 11000)
+    sys.stderr.flush()
+    if count == 12:
+        sys.stderr.write("last words\\n")
+        sys.exit(5)"""
+    remote = scripted_oracle(tmp_path, act, timeout=5.0)
+    try:
+        masks = [m % 8 for m in range(12)]
+        assert np.array_equal(remote.eval_many("all", masks, 0), indicator_rows(masks))
+        with pytest.raises(OracleError) as exc:
+            remote.eval_many("all", [7], 0)
+        # only a bounded tail of the stderr is quoted
+        assert "last words" in str(exc.value) and "exited with 5" in str(exc.value)
+        assert len(str(exc.value)) < 8192
+    finally:
+        remote.close()
+
+
+def test_malformed_values_mid_batch_are_data_errors(tmp_path):
+    act = """\
+    if visible == [1]:
+        sys.stdout.write(json.dumps({"values": "abc"}) + "\\n")
+        sys.stdout.flush()
+        continue"""
+    with scripted_oracle(tmp_path, act) as remote:
+        with pytest.raises(DataError):
+            remote.eval_many("all", [7, 2, 3], 0)
+        with pytest.raises(DataError):
+            remote.eval("all", Coalition(2, 3))
+        assert np.array_equal(remote.eval_many("all", [3, 4], 0), indicator_rows([3, 4]))
+
+
+def test_non_json_reply_mid_batch_ends_the_child(tmp_path):
+    act = """\
+    if count == 1:
+        sys.stdout.write("Traceback (most recent call last):\\n")
+        sys.stdout.flush()
+        continue"""
+    remote = scripted_oracle(tmp_path, act)
+    try:
+        with pytest.raises(OracleError) as exc:
+            remote.eval_many("all", [1, 2, 3], 0)
+        assert exc.value.code == "oracle-io" and "non-JSON" in str(exc.value)
+        with pytest.raises(OracleError):
+            remote.eval_many("all", [1], 0)
+    finally:
+        remote.close()
+
+
+def test_close_drains_a_child_that_logs_on_its_way_out(tmp_path):
+    # on stdin EOF the child writes more stderr than a pipe holds before it
+    # exits; close must read it rather than leave the child blocked and kill it
+    script = tmp_path / "chatty_exit.py"
+    script.write_text(
+        SCRIPTED.format(act="    pass")
+        + 'sys.stderr.write("shutting down\\n" * 20000)\nsys.exit(0)\n'
+    )
+    remote = ExternalOracle([sys.executable, str(script)], tiny_schema(), timeout=10.0)
+    proc = remote._proc
+    assert np.array_equal(remote.eval_many("all", [6, 1], 0), indicator_rows([6, 1]))
+    remote.close()
+    assert proc.returncode == 0
