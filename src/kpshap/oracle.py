@@ -30,8 +30,11 @@ then answers one request per line:
 
 ``instances`` is ["all"] or a list of instance id strings; "all" is reserved.
 A client may send every request of a batch before it reads any reply, and
-ExternalOracle does. A server must therefore read its requests line by line,
-as ``serve`` does, and answer them in order, one reply line per request.
+ExternalOracle does. A server must therefore keep reading requests while it
+answers, and answer them in order, one reply line per request. It may read
+ahead and answer the requests it has buffered together, as ``serve`` does:
+one eval_many per run of buffered requests with the same instances and
+trial, and one flush per pass.
 The client captures the child's stderr and quotes its tail, with the exit
 code, when the child fails.
 
@@ -44,14 +47,17 @@ not a whole batch; it must be finite and > 0.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 import operator
 import os
+import queue
 import select
 import selectors
 import shlex
 import subprocess
+import threading
 import time
 from dataclasses import dataclass
 
@@ -662,8 +668,67 @@ class ExternalOracle(CoalitionValueOracle):
             pipe.close()
 
 
+def _parse_request(raw, n: int) -> tuple:
+    """(instances, trial, mask) of one eval request line."""
+    msg = json.loads(raw)
+    if not isinstance(msg, dict) or msg.get("op") != "eval":
+        raise DataError(f"unsupported request: {raw.strip()[:200]}")
+    inst = msg["instances"]
+    instances = ALL_INSTANCES if inst == [ALL_INSTANCES] else tuple(str(i) for i in inst)
+    mask = Coalition.from_indices(msg["visible"], n).bits
+    return instances, int(msg.get("trial", 0)), mask
+
+
+def _score(oracle: CoalitionValueOracle, instances, trial: int, masks: list[int]) -> list[dict]:
+    """Replies to a run of requests that share instances and trial: one
+    eval_many for the whole run. If it fails, each request is scored alone,
+    so that every one gets the reply it would have had on its own."""
+    try:
+        rows = oracle.eval_many(instances, masks, trial)
+    except Exception as e:  # a serving oracle must answer, not die
+        if len(masks) == 1:
+            return [{"error": str(e)}]
+        return [reply for mask in masks for reply in _score(oracle, instances, trial, [mask])]
+    return [{"values": row.tolist()} for row in rows]
+
+
+def _answer(oracle: CoalitionValueOracle, lines) -> str:
+    """The reply lines to a sequence of request lines, in request order:
+    none for a blank line, an error for a malformed one, and one eval_many
+    for each run of consecutive requests with the same instances and trial."""
+    n = oracle.schema.n
+    requests = []
+    for raw in lines:
+        if not raw.strip():
+            continue
+        try:
+            requests.append(_parse_request(raw, n))
+        except Exception as e:  # a malformed request gets an error reply
+            requests.append(e)
+    replies = []
+    for key, run in itertools.groupby(requests, lambda r: r[:2] if isinstance(r, tuple) else None):
+        if key is None:
+            replies += [{"error": str(e)} for e in run]
+        else:
+            replies += _score(oracle, *key, [mask for *_, mask in run])
+    return "".join(_json_line(reply) + "\n" for reply in replies)
+
+
+# serve's reader thread ends its queue of request lines with this marker,
+# or with the exception that stopped it
+_END = object()
+
+
 def serve(oracle: CoalitionValueOracle, infile, outfile) -> None:
     """Answer the line-JSON protocol on (infile, outfile) until EOF.
+
+    A reader thread queues request lines as they arrive. Each pass of the
+    loop takes every line queued so far, answers them in order through
+    _answer (a pipelining client's batch is scored in one eval_many), and
+    writes and flushes the replies once. A lock-step client gets batches of
+    one. Only the calling thread touches the oracle and outfile. An
+    exception from reading infile is raised once the lines read before it
+    have been answered.
 
     Used by the CLI to expose the synthetic backend as a child process;
     also handy for testing clients of the protocol.
@@ -671,19 +736,31 @@ def serve(oracle: CoalitionValueOracle, infile, outfile) -> None:
     n = oracle.schema.n
     outfile.write(_json_line({"op": "hello", "n": n, "names": list(oracle.schema.names)}) + "\n")
     outfile.flush()
-    for raw in infile:
-        if not raw.strip():
-            continue
+    lines = queue.SimpleQueue()
+
+    def read() -> None:
         try:
-            msg = json.loads(raw)
-            if not isinstance(msg, dict) or msg.get("op") != "eval":
-                raise DataError(f"unsupported request: {raw.strip()[:200]}")
-            inst = msg["instances"]
-            instances = ALL_INSTANCES if inst == [ALL_INSTANCES] else tuple(str(i) for i in inst)
-            coalition = Coalition.from_indices(msg["visible"], n)
-            values = oracle.eval(instances, coalition, int(msg.get("trial", 0)))
-            reply = {"values": [float(v) for v in values]}
-        except Exception as e:  # a serving oracle must answer, not die
-            reply = {"error": str(e)}
-        outfile.write(_json_line(reply) + "\n")
-        outfile.flush()
+            for raw in infile:
+                lines.put(raw)
+        except BaseException as e:  # handed to the serving thread, which raises it
+            lines.put(e)
+        else:
+            lines.put(_END)
+
+    threading.Thread(target=read, name="kpshap-serve-reader", daemon=True).start()
+    while True:
+        batch = [lines.get()]
+        try:
+            while True:
+                batch.append(lines.get_nowait())
+        except queue.Empty:
+            pass
+        end = batch.pop() if batch[-1] is _END or isinstance(batch[-1], BaseException) else None
+        replies = _answer(oracle, batch)
+        if replies:
+            outfile.write(replies)
+            outfile.flush()
+        if end is _END:
+            return
+        if end is not None:
+            raise end

@@ -310,9 +310,14 @@ def _check_trials(trials: int) -> None:
 
 
 def query_count(grouping: Grouping, trials: int = 1) -> QueryBudget:
-    """Predicted budget of a full coarse-to-fine run (per instance batch)."""
+    """Predicted budget of a full coarse-to-fine run (per instance batch).
+    Refuses, as the run does, a grouping with a stage of more than
+    MAX_PLAYERS players."""
     _check_trials(trials)
-    calls = sum(1 << len(players) for players in _stages(grouping))
+    stages = _stages(grouping)
+    for players in stages:
+        _check_player_count(len(players))
+    calls = sum(1 << len(players) for players in stages)
     return QueryBudget(calls, calls * trials)
 
 

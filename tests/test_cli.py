@@ -353,6 +353,15 @@ def test_cost_rejects_inconsistent_sizes(capsys):
     assert "sum" in err
 
 
+@pytest.mark.parametrize("groups, n, players", [("21", 21, 21), ("24,109", 133, 24)])
+def test_cost_refuses_a_grouping_shapley_refuses(capsys, groups, n, players):
+    # the first stage over MAX_PLAYERS is refused, as run_group_attribution does
+    code, out, err = run(capsys, "cost", "--groups", groups, "--n", str(n))
+    assert code == 3
+    assert out == ""
+    assert err.startswith(f"error(too-many-players): {players} players would need 2^{players}")
+
+
 @pytest.mark.parametrize("trials", ["0", "-2"])
 def test_cost_rejects_non_positive_trials(capsys, trials):
     code, _, err = run(capsys, "cost", "--groups", "5,3,3,3,3", "--n", "17", "--trials", trials)

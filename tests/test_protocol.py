@@ -11,23 +11,32 @@ import pytest
 
 from kpshap import (
     Coalition,
+    CoalitionValueOracle,
     DataError,
     ExternalOracle,
     OracleError,
     SyntheticOracle,
     serve,
 )
+from kpshap.oracle import _answer
 from tests.test_oracle import make_config, tiny_schema
 
 _ROOT = str(Path(__file__).resolve().parent.parent)
 
-SERVE_3KP = (
-    '{} -c "'
-    "import sys; sys.path.insert(0, {!r}); "
-    "from kpshap import SyntheticOracle, serve; "
-    "from tests.test_oracle import make_config, tiny_schema; "
-    'serve(SyntheticOracle(make_config(), tiny_schema()), sys.stdin, sys.stdout)"'
-).format(sys.executable, _ROOT)
+
+
+def serve_command(n=3, noise=0.0):
+    """A child serving SyntheticOracle(make_config(n, noise)) on stdio."""
+    return (
+        '{} -c "'
+        "import sys; sys.path.insert(0, {!r}); "
+        "from kpshap import SyntheticOracle, serve; "
+        "from tests.test_oracle import make_config, tiny_schema; "
+        'serve(SyntheticOracle(make_config({n}, {noise}), tiny_schema({n})), sys.stdin, sys.stdout)"'
+    ).format(sys.executable, _ROOT, n=n, noise=noise)
+
+
+SERVE_3KP = serve_command()
 
 
 def test_serve_loop_in_memory():
@@ -171,7 +180,7 @@ def test_env_var_bad_timeout(monkeypatch):
 
 
 def test_cli_serve_synthetic_handshake(fixtures_dir):
-    proc = subprocess.Popen(
+    with subprocess.Popen(
         [
             sys.executable,
             "-m",
@@ -184,8 +193,7 @@ def test_cli_serve_synthetic_handshake(fixtures_dir):
         stdin=subprocess.PIPE,
         stdout=subprocess.PIPE,
         text=True,
-    )
-    try:
+    ) as proc:
         hello = json.loads(proc.stdout.readline())
         assert hello["op"] == "hello" and hello["n"] == 17
         assert hello["names"][0] == "nose"
@@ -196,9 +204,8 @@ def test_cli_serve_synthetic_handshake(fixtures_dir):
         proc.stdin.flush()
         reply = json.loads(proc.stdout.readline())
         assert len(reply["values"]) == 17
-    finally:
-        proc.stdin.close()
-        proc.wait(timeout=5)
+    # leaving the block closed both pipes, and stdin's EOF ended the child
+    assert proc.returncode == 0
 
 
 # --- pipelined batches ----------------------------------------------------
@@ -400,3 +407,135 @@ def test_close_drains_a_child_that_logs_on_its_way_out(tmp_path):
     assert np.array_equal(remote.eval_many("all", [6, 1], 0), indicator_rows([6, 1]))
     remote.close()
     assert proc.returncode == 0
+
+
+# --- batched serving ------------------------------------------------------
+
+
+def eval_line(visible, trial=0, instances=("all",)):
+    return json.dumps({"op": "eval", "instances": list(instances), "visible": visible, "trial": trial})
+
+
+def served(oracle, lines):
+    """serve's reply lines, the handshake apart, to the given request lines."""
+    out = io.StringIO()
+    serve(oracle, io.StringIO("".join(line + "\n" for line in lines)), out)
+    hello, *replies = out.getvalue().splitlines()
+    assert json.loads(hello)["op"] == "hello"
+    return replies
+
+
+class RecordingOracle(CoalitionValueOracle):
+    """Scores through ``inner``, records every batch, and refuses a batch
+    that holds the mask ``refuse``."""
+
+    def __init__(self, inner, refuse=None):
+        super().__init__(inner.schema)
+        self.inner = inner
+        self.refuse = refuse
+        self.batches = []
+
+    def _eval_many(self, instances, masks, trial):
+        self.batches.append((instances, trial, list(masks)))
+        if self.refuse in masks:
+            raise DataError(f"cannot score 0x{self.refuse:x}")
+        return self.inner._eval_many(instances, masks, trial)
+
+
+# runs of two trials and two instance sets, a blank line, an unsupported op
+# and an out-of-range keypoint in the middle of the last run
+MIXED = [
+    eval_line([0, 1, 2]),
+    eval_line([1]),
+    "",
+    eval_line([2], instances=["0", "1"]),
+    eval_line([0, 2], instances=["0", "1"]),
+    json.dumps({"op": "nope"}),
+    eval_line([], trial=1),
+    eval_line([0], trial=1),
+    eval_line([1, 2], trial=1),
+    eval_line([0, 5], trial=1),
+    eval_line([2], trial=1),
+    eval_line([0, 1], trial=1),
+]
+
+
+def reference_replies(oracle, lines):
+    """The replies of a server that scores one request line at a time with eval."""
+    replies = []
+    for raw in lines:
+        if not raw.strip():
+            continue
+        try:
+            msg = json.loads(raw)
+            if msg.get("op") != "eval":
+                raise DataError(f"unsupported request: {raw.strip()[:200]}")
+            inst = msg["instances"]
+            instances = "all" if inst == ["all"] else tuple(inst)
+            coalition = Coalition.from_indices(msg["visible"], oracle.schema.n)
+            reply = {"values": [float(v) for v in oracle.eval(instances, coalition, msg["trial"])]}
+        except DataError as e:
+            reply = {"error": str(e)}
+        replies.append(json.dumps(reply, sort_keys=True, separators=(",", ":")))
+    return replies
+
+
+def test_serve_answers_a_mixed_stream_as_one_line_at_a_time():
+    oracle = SyntheticOracle(make_config(noise=0.1), tiny_schema())
+    alone = [reply for line in MIXED for reply in served(oracle, [line])]
+    assert alone == reference_replies(oracle, MIXED)
+    assert served(oracle, MIXED) == alone
+    assert len(alone) == len(MIXED) - 1
+    assert [i for i, r in enumerate(alone) if "error" in json.loads(r)] == [4, 8]
+    # scored as one stream, each run of requests is one batch
+    recorder = RecordingOracle(oracle)
+    text = _answer(recorder, MIXED)
+    assert text.splitlines() == alone
+    assert recorder.batches == [
+        ("all", 0, [7, 2]),
+        (("0", "1"), 0, [4, 5]),
+        ("all", 1, [0, 1, 6]),
+        ("all", 1, [4, 3]),
+    ]
+
+
+def test_serve_answers_a_failing_batch_one_request_at_a_time():
+    local = SyntheticOracle(make_config(noise=0.1), tiny_schema())
+    masks = [7, 1, 6, 2, 3]
+    lines = [eval_line([k for k in range(3) if m >> k & 1], trial=2) for m in masks]
+    replies = [json.loads(r) for r in served(RecordingOracle(local, refuse=6), lines)]
+    assert replies[2] == {"error": "cannot score 0x6"}
+    values = [r["values"] for i, r in enumerate(replies) if i != 2]
+    want = local.eval_many("all", [7, 1, 2, 3], 2)
+    assert np.array_equal(np.array(values), want)
+    # the refused batch is scored again one request at a time
+    recorder = RecordingOracle(local, refuse=6)
+    _answer(recorder, lines)
+    assert [b[2] for b in recorder.batches] == [masks] + [[m] for m in masks]
+
+
+def test_serve_raises_a_read_error_after_answering_what_it_read():
+    oracle = SyntheticOracle(make_config(), tiny_schema())
+
+    def breaking_pipe():
+        yield eval_line([0, 1, 2]) + "\n"
+        yield eval_line([1]) + "\n"
+        raise OSError("pipe broke")
+
+    out = io.StringIO()
+    with pytest.raises(OSError, match="pipe broke"):
+        serve(oracle, breaking_pipe(), out)
+    hello, *replies = out.getvalue().splitlines()
+    assert [json.loads(r)["values"] for r in replies] == [
+        oracle.eval_many("all", [m], 0)[0].tolist() for m in (7, 2)
+    ]
+
+
+def test_noisy_batch_over_the_wire_equals_in_process():
+    schema = tiny_schema(5)
+    masks = list(range(32))[::-1]
+    with ExternalOracle(serve_command(5, 0.1), schema) as remote:
+        got = [remote.eval_many(inst, masks, 3) for inst in ("all", ["0", "1"])]
+    local = SyntheticOracle(make_config(5, 0.1), schema)
+    for inst, rows in zip(("all", ["0", "1"]), got):
+        assert np.array_equal(rows, local.eval_many(inst, masks, 3))
