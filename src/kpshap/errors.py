@@ -89,9 +89,13 @@ def _json_text(doc) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
+# json.dumps builds a new encoder on every call that passes it arguments
+_LINE_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def _json_line(doc) -> str:
     """Compact JSON for wire lines, plan lines and digests: sorted keys, no spaces."""
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    return _LINE_ENCODER.encode(doc)
 
 
 def _json_document(source, what: str, error=DataError, io_code=None, parse_code=None):

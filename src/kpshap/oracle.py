@@ -4,8 +4,9 @@ An oracle answers one question: given a set of visible keypoints (a
 coalition), what per-keypoint performance does the predictor under study
 achieve? The primitive is ``eval_many(instances, masks, trial)``: it scores
 a batch of coalitions, given as integer bitmasks (bit i = keypoint i
-visible), and returns one row of n values per mask. Every pipeline stage
-submits its coalitions as one batch; ``eval`` scores one ``Coalition``.
+visible), and returns one row of n values per mask. The pipeline submits
+every coalition through it, a Shapley run's small stages packed into one
+batch; ``eval`` scores one ``Coalition``.
 Both check what goes in (masks in [0, 2^n), instance ids) and what comes
 out (finite values in [0, 1]) and return read-only arrays. A backend
 implements ``_eval`` and may implement ``_eval_many``; by default a batch is
@@ -29,6 +30,9 @@ then answers one request per line:
     -> {"error": "message"}            (failure)
 
 ``instances`` is ["all"] or a list of instance id strings; "all" is reserved.
+``trial`` (0 when missing) and the ``visible`` entries are JSON integers;
+``serve`` answers any other request with an error, never a coerced score.
+ExternalOracle writes each line as compact JSON with sorted keys.
 A client may send every request of a batch before it reads any reply, and
 ExternalOracle does. A server must therefore keep reading requests while it
 answers, and answer them in order, one reply line per request. It may read
@@ -86,6 +90,10 @@ _BLOCK_ROWS = 256
 # holds 64 KiB by default) and keeps this much of the child's stderr.
 _PIPE_READ = 65536
 _STDERR_TAIL = 4096
+
+# ExternalOracle decodes each reply line, once it is text, with this one
+# decoder; json.loads would first sniff the bytes for their encoding.
+_decode_reply = json.JSONDecoder().decode
 
 
 @dataclass(frozen=True)
@@ -602,8 +610,8 @@ class ExternalOracle(CoalitionValueOracle):
         messages = []
         for line in found:
             try:
-                msg = json.loads(line)
-            except ValueError:
+                msg = _decode_reply(line.decode())
+            except (ValueError, RecursionError):
                 raise self._fail(f"oracle sent non-JSON line: {line[:200]!r}") from None
             if not isinstance(msg, dict):
                 raise self._fail(f"oracle sent non-object message: {line[:200]!r}")
@@ -621,19 +629,7 @@ class ExternalOracle(CoalitionValueOracle):
         if not masks:
             return np.empty((0, n), dtype=np.float64)
         ids = [ALL_INSTANCES] if instances == ALL_INSTANCES else list(instances)
-        requests = "".join(
-            _json_line(
-                {
-                    "op": "eval",
-                    "instances": ids,
-                    "visible": [i for i in range(mask.bit_length()) if mask >> i & 1],
-                    "trial": trial,
-                }
-            )
-            + "\n"
-            for mask in masks
-        )
-        replies = self._exchange(requests.encode(), len(masks))
+        replies = self._exchange(_request_lines(ids, trial, masks).encode(), len(masks))
         for msg in replies:
             if "error" in msg:
                 raise OracleError(f"oracle reported: {msg['error']}")
@@ -668,28 +664,57 @@ class ExternalOracle(CoalitionValueOracle):
             pipe.close()
 
 
+def _request_lines(ids: list[str], trial: int, masks: list[int]) -> str:
+    """The eval request lines of a batch, each byte for byte the _json_line
+    of {"op": "eval", "instances": ids, "visible": [...], "trial": trial}
+    plus a newline: one sorted-key prefix per batch, then each mask's
+    keypoint indices."""
+    head = f'{{"instances":{_json_line(ids)},"op":"eval","trial":{_json_line(trial)},"visible":['
+    return "".join(
+        head + ",".join([str(i) for i in range(m.bit_length()) if m >> i & 1]) + "]}\n"
+        for m in masks
+    )
+
+
+def _values_line(row: list[float]) -> str:
+    """_json_line({"values": row}) of a row of finite floats, which the json
+    module writes with float.__repr__."""
+    return '{"values":[' + ",".join(map(float.__repr__, row)) + "]}"
+
+
 def _parse_request(raw, n: int) -> tuple:
-    """(instances, trial, mask) of one eval request line."""
+    """(instances, trial, mask) of one eval request line. Instance ids must
+    be strings, and the trial and keypoint indices ints, so that no request
+    is scored as one it does not spell out."""
     msg = json.loads(raw)
     if not isinstance(msg, dict) or msg.get("op") != "eval":
         raise DataError(f"unsupported request: {raw.strip()[:200]}")
-    inst = msg["instances"]
-    instances = ALL_INSTANCES if inst == [ALL_INSTANCES] else tuple(str(i) for i in inst)
-    mask = Coalition.from_indices(msg["visible"], n).bits
-    return instances, int(msg.get("trial", 0)), mask
+    inst, visible, trial = msg["instances"], msg["visible"], msg.get("trial", 0)
+    if not isinstance(inst, list) or any(type(i) is not str for i in inst):
+        raise DataError(f"instances {inst!r:.80} is not a list of id strings")
+    if not isinstance(visible, list):
+        raise DataError(f"visible {visible!r:.80} is not a list of keypoint indices")
+    for i in visible:
+        if type(i) is not int:
+            raise DataError(f"keypoint index {i!r:.80} is not an integer")
+    if type(trial) is not int:
+        raise DataError(f"trial {trial!r:.80} is not an integer")
+    instances = ALL_INSTANCES if inst == [ALL_INSTANCES] else tuple(inst)
+    return instances, trial, Coalition.from_indices(visible, n).bits
 
 
-def _score(oracle: CoalitionValueOracle, instances, trial: int, masks: list[int]) -> list[dict]:
-    """Replies to a run of requests that share instances and trial: one
+def _score(oracle: CoalitionValueOracle, instances, trial: int, masks: list[int]) -> list[str]:
+    """Reply lines to a run of requests that share instances and trial: one
     eval_many for the whole run. If it fails, each request is scored alone,
     so that every one gets the reply it would have had on its own."""
     try:
         rows = oracle.eval_many(instances, masks, trial)
     except Exception as e:  # a serving oracle must answer, not die
         if len(masks) == 1:
-            return [{"error": str(e)}]
+            return [_json_line({"error": str(e)})]
         return [reply for mask in masks for reply in _score(oracle, instances, trial, [mask])]
-    return [{"values": row.tolist()} for row in rows]
+    # eval_many has refused non-finite values
+    return [_values_line(row) for row in rows.tolist()]
 
 
 def _answer(oracle: CoalitionValueOracle, lines) -> str:
@@ -708,10 +733,10 @@ def _answer(oracle: CoalitionValueOracle, lines) -> str:
     replies = []
     for key, run in itertools.groupby(requests, lambda r: r[:2] if isinstance(r, tuple) else None):
         if key is None:
-            replies += [{"error": str(e)} for e in run]
+            replies += [_json_line({"error": str(e)}) for e in run]
         else:
             replies += _score(oracle, *key, [mask for *_, mask in run])
-    return "".join(_json_line(reply) + "\n" for reply in replies)
+    return "".join(reply + "\n" for reply in replies)
 
 
 # serve's reader thread ends its queue of request lines with this marker,

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from kpshap import (
     Coalition,
@@ -18,7 +20,8 @@ from kpshap import (
     SyntheticOracle,
     serve,
 )
-from kpshap.oracle import _answer
+from kpshap.errors import _json_line
+from kpshap.oracle import _answer, _request_lines, _values_line
 from tests.test_oracle import make_config, tiny_schema
 
 _ROOT = str(Path(__file__).resolve().parent.parent)
@@ -539,3 +542,103 @@ def test_noisy_batch_over_the_wire_equals_in_process():
     local = SyntheticOracle(make_config(5, 0.1), schema)
     for inst, rows in zip(("all", ["0", "1"]), got):
         assert np.array_equal(rows, local.eval_many(inst, masks, 3))
+
+
+def test_serve_refuses_requests_it_would_have_to_coerce():
+    # each bad request gets its own error reply; its neighbours, which share
+    # its run of instances and trial, are still scored in one batch
+    bad = [
+        '{"op":"eval","instances":["all"],"visible":[0],"trial":1.5}',
+        '{"op":"eval","instances":["all"],"visible":[0],"trial":"3"}',
+        '{"op":"eval","instances":["all"],"visible":[0],"trial":true}',
+        '{"op":"eval","instances":["all"],"visible":[0],"trial":1e3}',
+        '{"op":"eval","instances":["all"],"visible":[0,true],"trial":0}',
+        '{"op":"eval","instances":["all"],"visible":[0,1.0],"trial":0}',
+        '{"op":"eval","instances":["all"],"visible":"01","trial":0}',
+        '{"op":"eval","instances":"ab","visible":[0],"trial":0}',
+        '{"op":"eval","instances":[0,1],"visible":[0],"trial":0}',
+    ]
+    good = [eval_line([1, 2]), '{"op":"eval","instances":["all"],"visible":[2]}']
+    lines = [good[0]] + [line for b in bad for line in (b, good[1])]
+    oracle = SyntheticOracle(make_config(noise=0.1), tiny_schema())
+    replies = [json.loads(r) for r in served(oracle, lines)]
+    assert len(replies) == len(lines)
+    errors = [r["error"] for r in replies[1::2]]
+    assert all("is not" in e for e in errors), errors
+    values = [r["values"] for r in replies[::2]]
+    # a missing trial is trial 0
+    assert values == oracle.eval_many("all", [6] + [4] * len(bad), 0).tolist()
+    out_of_range = served(oracle, [eval_line([0, 3])])
+    assert json.loads(out_of_range[0]) == {"error": "keypoint index 3 out of range for n=3"}
+
+
+# --- the wire codec -------------------------------------------------------
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 20).flatmap(
+        lambda n: st.tuples(st.just(n), st.lists(st.integers(0, (1 << n) - 1), max_size=6))
+    ),
+    st.one_of(st.just(["all"]), st.lists(st.text(max_size=8), min_size=1, max_size=3)),
+    st.integers(-(1 << 63), (1 << 63) - 1),
+)
+@example((17, [0, 5]), ['q"uote', "back\\slash", "nicht-ASCII: ÿ€😀"], (1 << 63) - 1)
+def test_request_lines_are_the_json_lines(sized, ids, trial):
+    n, masks = sized
+    masks = masks + [(1 << n) - 1]
+    want = "".join(
+        _json_line(
+            {
+                "op": "eval",
+                "instances": ids,
+                "visible": [i for i in range(n) if m >> i & 1],
+                "trial": trial,
+            }
+        )
+        + "\n"
+        for m in masks
+    )
+    assert _request_lines(ids, trial, masks) == want
+
+
+@given(
+    st.lists(
+        st.one_of(st.sampled_from([0.0, 1.0, 5e-324, 0.1, 1 / 3]), st.floats(0.0, 1.0)),
+        max_size=20,
+    )
+)
+def test_values_lines_are_the_json_lines(values):
+    row = np.array(values, dtype=np.float64).tolist()
+    assert _values_line(row) == _json_line({"values": row})
+
+
+# a JSON object but for one byte that is not UTF-8
+NOT_UTF8 = r"""sys.stdout.buffer.write(b'{"values":[0.0,1.0,0.0],"note":"\xff"}\n')"""
+
+
+@pytest.mark.parametrize(
+    "reply, error",
+    [
+        ('sys.stdout.write("[1]\\n")', "non-object message"),
+        (NOT_UTF8, "non-JSON line"),
+        # nested deeper than the decoder recurses
+        ('sys.stdout.write("[" * 100000 + "]" * 100000 + "\\n")', "non-JSON line"),
+    ],
+    ids=["array", "not-utf8", "too-deep"],
+)
+def test_bad_reply_lines_end_the_child(tmp_path, reply, error):
+    act = f"""\
+    if count == 1:
+        {reply}
+        sys.stdout.flush()
+        continue"""
+    remote = scripted_oracle(tmp_path, act)
+    try:
+        with pytest.raises(OracleError) as exc:
+            remote.eval_many("all", [1, 2, 3], 0)
+        assert exc.value.code == "oracle-io" and error in str(exc.value)
+        with pytest.raises(OracleError, match="unusable"):
+            remote.eval_many("all", [1], 0)
+    finally:
+        remote.close()

@@ -14,9 +14,11 @@ from kpshap import (
     CountingOracle,
     DataError,
     Grouping,
+    MissingCoalitionError,
     QueryBudget,
     SyntheticModelConfig,
     SyntheticOracle,
+    TabularOracle,
     combined_attribution,
     exact_query_count,
     exact_shapley,
@@ -30,6 +32,7 @@ from kpshap import (
     sampled_shapley,
     write_game_csv,
 )
+from tests.test_protocol import RecordingOracle
 
 
 def shapley_by_permutations(value, n):
@@ -378,3 +381,94 @@ def test_budget_counts_agree(grouping):
     _, budget = run_group_attribution(counter, grouping)
     assert counter.calls == query_count(grouping).oracle_calls == budget.oracle_calls
     assert len(counter.coalitions) == budget.distinct_coalitions
+
+
+# --- stages packed into batches ------------------------------------------------
+
+
+def stage_masks(grouping):
+    """Each stage's coalitions in evaluation order, built from the grouping:
+    row r of a stage makes its j-th player visible when bit j of r is set,
+    and every keypoint outside the stage's players is always visible."""
+    full = (1 << grouping.n) - 1
+    members = [[1 << i for i in grp] for grp in grouping.groups]
+    stages = members + [[sum(bits) for bits in members]]
+    return [
+        [
+            full ^ sum(players) | sum(p for j, p in enumerate(players) if r >> j & 1)
+            for r in range(1 << len(players))
+        ]
+        for players in stages
+    ]
+
+
+def assert_priced_stage_by_stage(report, oracle, grouping, trial=0):
+    """Each stage priced from its slice of a packed batch exactly as from a
+    batch of its own."""
+    for i in range(grouping.n):
+        assert report.intra_tables[i] == intra_group_shapley(oracle, grouping, i, trial=trial)
+    for h in range(grouping.g):
+        assert report.group_tables[h] == group_shapley(oracle, grouping, h, trial=trial)
+
+
+def linear_oracle(n):
+    names = [f"k{i}" for i in range(n)]
+    schema = load_schema({"names": names, "edges": [names[:2]]})[0]
+    base = tuple(0.5 + 0.02 * i for i in range(n))
+    rec = tuple(tuple(0.0 if i == j else 0.9 / (n - 1) for j in range(n)) for i in range(n))
+    return SyntheticOracle(SyntheticModelConfig(base, rec, noise_sd=0.05), schema)
+
+
+def test_coco_run_is_one_batch_in_stage_order(schema, expected_grouping, synthetic_config):
+    local = SyntheticOracle(synthetic_config, schema)
+    recorder = RecordingOracle(local)
+    report, _ = run_group_attribution(recorder, expected_grouping, trial=4)
+    masks = [m for stage in stage_masks(expected_grouping) for m in stage]
+    assert len(masks) == 96
+    assert recorder.batches == [("all", 4, masks)]
+    assert_priced_stage_by_stage(report, local, expected_grouping, trial=4)
+
+
+@pytest.mark.parametrize(
+    "groups, packs",
+    [
+        # stages of 4, 512, 8, 2 and 4 coalitions, then a group stage of 32
+        ([range(0, 2), range(2, 11), range(11, 14), [14], range(15, 17)], [[0], [1], [2, 3, 4, 5]]),
+        # two stages of 128 fill one batch exactly; the group stage of 4 does not fit
+        ([range(0, 7), range(7, 14)], [[0, 1], [2]]),
+        # 128 + 2 + 128 coalitions are two more than a batch holds
+        ([range(0, 7), [7], range(8, 15)], [[0, 1], [2, 3]]),
+    ],
+)
+def test_stages_share_a_batch_up_to_the_pack_limit(groups, packs):
+    n = max(max(grp) for grp in groups) + 1
+    grouping = Grouping.from_sets(groups, n)
+    local = linear_oracle(n)
+    recorder = RecordingOracle(local)
+    report, budget = run_group_attribution(recorder, grouping)
+    stages = stage_masks(grouping)
+    assert [masks for _, _, masks in recorder.batches] == [
+        [m for k in pack for m in stages[k]] for pack in packs
+    ]
+    assert all(len(masks) <= 256 for _, _, masks in recorder.batches if masks not in stages)
+    assert budget.oracle_calls == query_count(grouping).oracle_calls
+    assert_priced_stage_by_stage(report, local, grouping)
+
+
+def test_partial_table_misses_the_coalition_stage_by_stage_misses(
+    schema, expected_grouping, synthetic_config
+):
+    local = SyntheticOracle(synthetic_config, schema)
+    stages = stage_masks(expected_grouping)
+    table = {m: local.eval("all", Coalition(m, 17)) for stage in stages for m in stage}
+    # a group-stage coalition and, earlier in the batch, one of stage 2's
+    first_missing = stages[2][1]
+    del table[stages[-1][3]], table[first_missing]
+    oracle = TabularOracle(schema, table)
+    with pytest.raises(MissingCoalitionError) as alone:
+        for members in expected_grouping.groups:
+            intra_group_shapley(oracle, expected_grouping, members[0])
+        group_shapley(oracle, expected_grouping, 0)
+    with pytest.raises(MissingCoalitionError) as packed:
+        run_group_attribution(oracle, expected_grouping)
+    assert str(packed.value) == str(alone.value) == f"no value for coalition {first_missing:#x}"
