@@ -6,12 +6,12 @@ achieve? The primitive is ``eval_many(instances, masks, trial)``: it scores
 a batch of coalitions, given as integer bitmasks (bit i = keypoint i
 visible), and returns one row of n values per mask. The pipeline submits
 every coalition through it, a Shapley run's small stages packed into one
-batch; ``eval`` scores one ``Coalition``.
-Both check what goes in (masks in [0, 2^n), instance ids) and what comes
-out (finite values in [0, 1]) and return read-only arrays. A backend
-implements ``_eval`` and may implement ``_eval_many``; by default a batch is
-one public ``eval`` per mask, so a wrapper that overrides only ``eval``
-still sees every coalition. Three backends share the interface:
+batch. It checks what goes in (masks in [0, 2^n), instance ids, an integer
+trial) and what comes out (finite values in [0, 1]) and returns a read-only
+array. A backend implements only ``_eval_many``. ``eval`` scores one
+``Coalition`` as a one-mask batch. The base ``_eval_many``, one public
+``eval`` per mask, exists only for a wrapper that overrides ``eval`` alone.
+Three backends share the interface:
 
 - synthetic: a closed-form test double with optional counter-based noise,
   scored a block of rows at a time;
@@ -98,66 +98,10 @@ _decode_reply = json.JSONDecoder().decode
 
 @dataclass(frozen=True)
 class Coalition:
-    """Fixed-width bitset of visible keypoints; bit i = keypoint index i."""
+    """One coalition for ``eval``: bitmask ``bits`` (bit i = keypoint i) over ``n`` keypoints."""
 
     bits: int
     n: int
-
-    def __post_init__(self):
-        if not 1 <= self.n:
-            raise DataError(f"coalition width must be positive, got {self.n}")
-        if not 0 <= self.bits < (1 << self.n):
-            raise DataError(f"coalition bits 0x{self.bits:x} out of range for n={self.n}")
-
-    @classmethod
-    def empty(cls, n: int) -> "Coalition":
-        return cls(0, n)
-
-    @classmethod
-    def full(cls, n: int) -> "Coalition":
-        return cls((1 << n) - 1, n)
-
-    @classmethod
-    def from_indices(cls, indices, n: int) -> "Coalition":
-        bits = 0
-        for i in indices:
-            if not 0 <= i < n:
-                raise DataError(f"keypoint index {i} out of range for n={n}")
-            bits |= 1 << i
-        return cls(bits, n)
-
-    @classmethod
-    def parse_hex(cls, text: str, n: int) -> "Coalition":
-        return cls(_parse_mask(text), n)
-
-    def indices(self) -> tuple[int, ...]:
-        return tuple(i for i in range(self.n) if self.bits >> i & 1)
-
-    def contains(self, i: int) -> bool:
-        return bool(self.bits >> i & 1)
-
-    def without(self, i: int) -> "Coalition":
-        return Coalition(self.bits & ~(1 << i), self.n)
-
-    def union(self, other: "Coalition") -> "Coalition":
-        return Coalition(self.bits | other.bits, self.n)
-
-    def hex(self) -> str:
-        return f"0x{self.bits:x}"
-
-    def __len__(self) -> int:
-        return bin(self.bits).count("1")
-
-
-def _parse_mask(text: str, where: str = "") -> int:
-    """The non-negative bitmask written as hex in ``text``, e.g. "0x5"."""
-    try:
-        mask = int(text, 16)
-    except ValueError:
-        raise DataError(f"{where}bad coalition hex {text!r}") from None
-    if mask < 0:
-        raise DataError(f"{where}negative coalition {text!r}")
-    return mask
 
 
 def _read_coalition_table(path, columns, what: str) -> dict[int, list[float]]:
@@ -171,7 +115,12 @@ def _read_coalition_table(path, columns, what: str) -> dict[int, list[float]]:
     table: dict[int, list[float]] = {}
     for lineno, row in enumerate(rows, start=2):
         values = _float_cells(path, lineno, row, len(columns) + 1)
-        mask = _parse_mask(row[0], f"{path}:{lineno}: ")
+        try:
+            mask = int(row[0], 16)
+        except ValueError:
+            raise DataError(f"{path}:{lineno}: bad coalition hex {row[0]!r}") from None
+        if mask < 0:
+            raise DataError(f"{path}:{lineno}: negative coalition {row[0]!r}")
         if mask in table:
             raise DataError(f"{path}:{lineno}: duplicate coalition 0x{mask:x}")
         table[mask] = values
@@ -207,6 +156,16 @@ def _check_masks(masks, n: int) -> list[int]:
     return masks
 
 
+def _check_trial(trial) -> int:
+    """The trial index as an int: a bool, float or string is refused, not rounded."""
+    if not isinstance(trial, bool):
+        try:
+            return operator.index(trial)
+        except TypeError:
+            pass
+    raise DataError(f"trial {trial!r:.80} is not an integer")
+
+
 def _normalize_instances(instances):
     if isinstance(instances, str):
         if instances != ALL_INSTANCES:
@@ -231,27 +190,27 @@ class CoalitionValueOracle:
         self.schema = schema
 
     def eval(self, instances, coalition: Coalition, trial: int = 0) -> np.ndarray:
-        """Per-keypoint values of one coalition: a read-only (n,) array."""
+        """Per-keypoint values of one coalition: the one row of a one-mask batch."""
         if coalition.n != self.schema.n:
             raise DataError(
                 f"coalition width {coalition.n} does not match schema n={self.schema.n}"
             )
-        values = self._eval(_normalize_instances(instances), coalition, int(trial))
-        return _check_perf(values, (self.schema.n,))
+        return self.eval_many(instances, [coalition.bits], trial)[0]
 
     def eval_many(self, instances, masks, trial: int = 0) -> np.ndarray:
         """Values of a batch of coalitions given as bitmasks: a read-only
         (len(masks), n) array whose row r belongs to masks[r]."""
         masks = _check_masks(masks, self.schema.n)
-        values = self._eval_many(_normalize_instances(instances), masks, int(trial))
+        values = self._eval_many(_normalize_instances(instances), masks, _check_trial(trial))
         return _check_perf(values, (len(masks), self.schema.n))
 
-    def _eval(self, instances, coalition: Coalition, trial: int) -> np.ndarray:
-        raise NotImplementedError
-
     def _eval_many(self, instances, masks: list[int], trial: int) -> np.ndarray:
-        """One public eval per mask, so that a wrapper overriding only eval
-        sees every coalition of a batch."""
+        """The backend. This default is one public eval per mask, there only
+        so that a wrapper overriding eval alone sees every coalition."""
+        if type(self).eval is CoalitionValueOracle.eval:
+            raise NotImplementedError(
+                f"{type(self).__name__} overrides neither _eval_many nor eval"
+            )
         n = self.schema.n
         values = np.empty((len(masks), n), dtype=np.float64)
         for row, mask in zip(values, masks):
@@ -345,9 +304,6 @@ class SyntheticOracle(CoalitionValueOracle):
         # random module, which costs more than the rest of the set-up.
         self._noise = None
 
-    def _eval(self, instances, coalition: Coalition, trial: int) -> np.ndarray:
-        return self._eval_many(instances, [coalition.bits], trial)[0]
-
     def _eval_many(self, instances, masks: list[int], trial: int) -> np.ndarray:
         """The model, _BLOCK_ROWS rows at a time. Each row is scored exactly
         as alone: the recovery product is one gemv per row (a gemm over the
@@ -407,11 +363,12 @@ class TabularOracle(CoalitionValueOracle):
         self.table = {m: _check_perf(v, (schema.n,)) for m, v in table.items()}
         self.source = source
 
-    def _eval(self, instances, coalition: Coalition, trial: int) -> np.ndarray:
+    def _eval_many(self, instances, masks: list[int], trial: int) -> np.ndarray:
         try:
-            return self.table[coalition.bits]
-        except KeyError:
-            raise MissingCoalitionError(f"no value for coalition {coalition.hex()}") from None
+            rows = [self.table[mask] for mask in masks]
+        except KeyError as e:
+            raise MissingCoalitionError(f"no value for coalition 0x{e.args[0]:x}") from None
+        return np.array(rows, dtype=np.float64).reshape(len(masks), self.schema.n)
 
     def describe(self) -> str:
         digest = hashlib.sha256()
@@ -441,13 +398,7 @@ class CountingOracle(CoalitionValueOracle):
     def __init__(self, inner: CoalitionValueOracle):
         super().__init__(inner.schema)
         self.inner = inner
-        self.calls = 0
-        self.coalitions: set[int] = set()
-
-    def _eval(self, instances, coalition: Coalition, trial: int) -> np.ndarray:
-        self.calls += 1
-        self.coalitions.add(coalition.bits)
-        return self.inner._eval(instances, coalition, trial)
+        self.reset()
 
     def _eval_many(self, instances, masks: list[int], trial: int) -> np.ndarray:
         self.calls += len(masks)
@@ -456,7 +407,7 @@ class CountingOracle(CoalitionValueOracle):
 
     def reset(self) -> None:
         self.calls = 0
-        self.coalitions = set()
+        self.coalitions: set[int] = set()
 
     def describe(self) -> str:
         return f"counting({self.inner.describe()})"
@@ -618,9 +569,6 @@ class ExternalOracle(CoalitionValueOracle):
             messages.append(msg)
         return messages
 
-    def _eval(self, instances, coalition: Coalition, trial: int) -> np.ndarray:
-        return self._eval_many(instances, [coalition.bits], trial)[0]
-
     def _eval_many(self, instances, masks: list[int], trial: int) -> np.ndarray:
         """One eval request line per mask, all written while the replies are
         read; an error reply raises once every reply is in, so the stream
@@ -694,13 +642,19 @@ def _parse_request(raw, n: int) -> tuple:
         raise DataError(f"instances {inst!r:.80} is not a list of id strings")
     if not isinstance(visible, list):
         raise DataError(f"visible {visible!r:.80} is not a list of keypoint indices")
+    mask, bad = 0, None
     for i in visible:
         if type(i) is not int:
             raise DataError(f"keypoint index {i!r:.80} is not an integer")
-    if type(trial) is not int:
-        raise DataError(f"trial {trial!r:.80} is not an integer")
+        if 0 <= i < n:
+            mask |= 1 << i
+        elif bad is None:
+            bad = i
+    trial = _check_trial(trial)
+    if bad is not None:
+        raise DataError(f"keypoint index {bad} out of range for n={n}")
     instances = ALL_INSTANCES if inst == [ALL_INSTANCES] else tuple(inst)
-    return instances, trial, Coalition.from_indices(visible, n).bits
+    return instances, trial, mask
 
 
 def _score(oracle: CoalitionValueOracle, instances, trial: int, masks: list[int]) -> list[str]:

@@ -1,5 +1,7 @@
 import functools
+import json
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from kpshap import (
     CoalitionValueOracle,
     CountingOracle,
     DataError,
+    ExternalOracle,
     MissingCoalitionError,
     SyntheticModelConfig,
     SyntheticOracle,
@@ -29,44 +32,6 @@ def tiny_schema(n=3):
     names = [f"k{i}" for i in range(n)]
     edges = [[f"k{i}", f"k{i + 1}"] for i in range(n - 1)]
     return load_schema({"names": names, "edges": edges})[0]
-
-
-# --- Coalition ---------------------------------------------------------
-
-
-def test_coalition_basics():
-    c = Coalition.from_indices([0, 2], 3)
-    assert c.bits == 0b101
-    assert c.indices() == (0, 2)
-    assert c.contains(2) and not c.contains(1)
-    assert len(c) == 2
-    assert c.hex() == "0x5"
-    assert Coalition.parse_hex("0x5", 3) == c
-    assert c.without(2).bits == 0b001
-    assert c.union(Coalition.from_indices([1], 3)).bits == 0b111
-
-
-def test_coalition_bounds():
-    with pytest.raises(DataError):
-        Coalition.from_indices([3], 3)
-    with pytest.raises(DataError):
-        Coalition.parse_hex("0x8", 3)
-    with pytest.raises(DataError):
-        Coalition.parse_hex("zz", 3)
-
-
-def test_coalition_full_empty():
-    assert Coalition.full(4).bits == 0b1111
-    assert Coalition.empty(4).bits == 0
-
-
-@given(st.integers(1, 16), st.data())
-def test_coalition_roundtrip(n, data):
-    bits = data.draw(st.integers(0, (1 << n) - 1))
-    c = Coalition(bits, n)
-    assert Coalition.from_indices(c.indices(), n) == c
-    assert Coalition.parse_hex(c.hex(), n) == c
-    assert len(c.indices()) == len(c)
 
 
 # --- SyntheticModelConfig validation -----------------------------------
@@ -111,8 +76,8 @@ def test_config_json_roundtrip(tmp_path):
 def test_synthetic_full_and_empty():
     schema = tiny_schema()
     oracle = SyntheticOracle(make_config(), schema)
-    full = oracle.eval("all", Coalition.full(3))
-    empty = oracle.eval("all", Coalition.empty(3))
+    full = oracle.eval("all", Coalition(0b111, 3))
+    empty = oracle.eval("all", Coalition(0, 3))
     assert np.allclose(full, [0.5, 0.6, 0.7])
     assert np.allclose(empty, 0.0)
 
@@ -121,7 +86,7 @@ def test_synthetic_hidden_keypoint_recovers_through_visible():
     schema = tiny_schema()
     oracle = SyntheticOracle(make_config(), schema)
     # keypoint 0 hidden, 1 and 2 visible: recovers base * (w01 + w02)
-    vals = oracle.eval("all", Coalition.from_indices([1, 2], 3))
+    vals = oracle.eval("all", Coalition(0b110, 3))
     assert vals[0] == pytest.approx(0.5 * 0.9, abs=1e-9)
     assert vals[1] == pytest.approx(0.6)
     assert vals[2] == pytest.approx(0.7)
@@ -143,7 +108,7 @@ def test_synthetic_noiseless_monotone(n, data):
 def test_synthetic_noise_is_keyed_by_trial_and_instance():
     schema = tiny_schema()
     oracle = SyntheticOracle(make_config(noise=0.05), schema)
-    c = Coalition.full(3)
+    c = Coalition(0b111, 3)
     a = oracle.eval(("7",), c, trial=0)
     b = oracle.eval(("7",), c, trial=0)
     assert np.array_equal(a, b)
@@ -154,14 +119,14 @@ def test_synthetic_noise_is_keyed_by_trial_and_instance():
 def test_synthetic_all_is_single_instance_universe():
     schema = tiny_schema()
     oracle = SyntheticOracle(make_config(noise=0.05), schema)
-    c = Coalition.from_indices([0], 3)
+    c = Coalition(0b001, 3)
     assert np.array_equal(oracle.eval("all", c), oracle.eval(("0",), c))
 
 
 def test_synthetic_mean_over_instances():
     schema = tiny_schema()
     oracle = SyntheticOracle(make_config(noise=0.05), schema)
-    c = Coalition.full(3)
+    c = Coalition(0b111, 3)
     a = oracle.eval(("a",), c)
     b = oracle.eval(("b",), c)
     both = oracle.eval(("a", "b"), c)
@@ -172,9 +137,9 @@ def test_reserved_instance_id_rejected():
     schema = tiny_schema()
     oracle = SyntheticOracle(make_config(), schema)
     with pytest.raises(DataError):
-        oracle.eval(("all",), Coalition.full(3))
+        oracle.eval(("all",), Coalition(0b111, 3))
     with pytest.raises(DataError):
-        oracle.eval((), Coalition.full(3))
+        oracle.eval((), Coalition(0b111, 3))
     with pytest.raises(DataError, match="reserved"):
         oracle.eval_many(("all",), [7])
     with pytest.raises(DataError, match="empty"):
@@ -185,7 +150,7 @@ def test_width_mismatch_rejected():
     schema = tiny_schema()
     oracle = SyntheticOracle(make_config(), schema)
     with pytest.raises(DataError):
-        oracle.eval("all", Coalition.full(4))
+        oracle.eval("all", Coalition(0b1111, 4))
 
 
 # --- TabularOracle ------------------------------------------------------
@@ -259,10 +224,10 @@ def test_tabular_rejects_out_of_range_values(tmp_path):
 def test_counting_oracle_tracks_calls_and_distinct():
     schema = tiny_schema()
     counted = CountingOracle(SyntheticOracle(make_config(), schema))
-    c = Coalition.full(3)
+    c = Coalition(0b111, 3)
     counted.eval("all", c)
     counted.eval("all", c)
-    counted.eval("all", Coalition.empty(3))
+    counted.eval("all", Coalition(0, 3))
     assert counted.calls == 3
     assert counted.coalitions == {c.bits, 0}
     counted.reset()
@@ -386,6 +351,84 @@ def test_interleaved_calls_on_one_oracle_match_the_reference(noise, calls):
             assert row.tobytes() == reference_eval(config, instances, bits, trial).tobytes()
 
 
+# --- one primitive, every backend ---------------------------------------
+
+_TABLE_MASKS = (0, 6, 7)
+
+
+@pytest.fixture(params=["synthetic", "tabular", "counting", "external"])
+def backend(request, tmp_path):
+    """A noisy 3-keypoint oracle of each kind, with the masks it can score."""
+    schema = tiny_schema()
+    noisy = SyntheticOracle(make_config(noise=0.05), schema)
+    if request.param == "synthetic":
+        yield noisy, range(8)
+    elif request.param == "tabular":
+        table = {m: noisy.eval_many("all", [m], 0)[0] for m in _TABLE_MASKS}
+        yield TabularOracle(schema, table), _TABLE_MASKS
+    elif request.param == "counting":
+        yield CountingOracle(noisy), range(8)
+    else:
+        (tmp_path / "config.json").write_text(json.dumps(make_config(noise=0.05).to_json_dict()))
+        (tmp_path / "schema.json").write_text(
+            json.dumps({"names": list(schema.names), "edges": [["k0", "k1"], ["k1", "k2"]]})
+        )
+        command = [sys.executable, "-m", "kpshap", "oracle", "serve-synthetic"]
+        command += ["--config", str(tmp_path / "config.json"), "--schema", str(tmp_path / "schema.json")]
+        with ExternalOracle(command, schema, timeout=30.0) as remote:
+            yield remote, range(8)
+
+
+def test_eval_is_a_one_mask_batch_on_every_backend(backend):
+    oracle, masks = backend
+    for instances, trial in [("all", 0), (("a", "b"), 3)]:
+        for m in masks:
+            one = oracle.eval(instances, Coalition(m, 3), trial)
+            assert one.shape == (3,) and not one.flags.writeable
+            assert one.tobytes() == oracle.eval_many(instances, [m], trial)[0].tobytes()
+    for bits in (8, -1):
+        with pytest.raises(DataError, match="out of range for n=3"):
+            oracle.eval("all", Coalition(bits, 3))
+
+
+def test_tabular_batch_names_its_first_missing_coalition():
+    schema = tiny_schema()
+    oracle = TabularOracle(schema, {0b111: np.array([0.5, 0.6, 0.7])})
+    with pytest.raises(MissingCoalitionError, match=r"no value for coalition 0x5$"):
+        oracle.eval_many("all", [7, 5, 3])
+    assert oracle.eval_many("all", []).shape == (0, 3)
+
+
+class NoBackend(CoalitionValueOracle):
+    pass
+
+
+def test_oracle_with_neither_eval_nor_eval_many_is_refused():
+    oracle = NoBackend(tiny_schema())
+    for call in (lambda: oracle.eval_many("all", [7]), lambda: oracle.eval("all", Coalition(7, 3))):
+        with pytest.raises(NotImplementedError, match="NoBackend overrides neither"):
+            call()
+
+
+@pytest.mark.parametrize("trial", [1.5, "1", True, np.float64(1.9)], ids=repr)
+@pytest.mark.parametrize("kind", ["synthetic", "counting-tabular"])
+def test_eval_many_refuses_a_trial_that_is_not_an_integer(kind, trial):
+    # each of these used to be scored as trial 1
+    schema = tiny_schema()
+    if kind == "synthetic":
+        oracle = SyntheticOracle(make_config(noise=0.05), schema)
+    else:
+        oracle = CountingOracle(TabularOracle(schema, {0b111: np.array([0.5, 0.6, 0.7])}))
+    with pytest.raises(DataError, match="is not an integer"):
+        oracle.eval_many(("a",), [7], trial=trial)
+    with pytest.raises(DataError, match="is not an integer"):
+        oracle.eval(("a",), Coalition(7, 3), trial)
+    assert getattr(oracle, "calls", 0) == 0
+    # numpy integers name the trial they hold
+    want = oracle.eval_many(("a",), [7], trial=1)
+    assert oracle.eval_many(("a",), [7], trial=np.int64(1)).tobytes() == want.tobytes()
+
+
 def test_counting_oracle_counts_a_batch_exactly():
     schema = tiny_schema()
     inner = SyntheticOracle(make_config(noise=0.05), schema)
@@ -437,8 +480,8 @@ def test_eval_many_rejects_masks_out_of_range(masks):
 
 
 class NaNOracle(CoalitionValueOracle):
-    def _eval(self, instances, coalition, trial):
-        return np.full(self.schema.n, np.nan)
+    def _eval_many(self, instances, masks, trial):
+        return np.full((len(masks), self.schema.n), np.nan)
 
 
 class BatchedOutOfRangeOracle(CoalitionValueOracle):
@@ -461,6 +504,6 @@ def test_duplicate_instance_ids_rejected(instances):
     # a repeated id would count that instance twice in the mean
     oracle = SyntheticOracle(make_config(noise=0.05), tiny_schema())
     with pytest.raises(DataError, match="instance id '0' is listed twice"):
-        oracle.eval(instances, Coalition.full(3))
+        oracle.eval(instances, Coalition(0b111, 3))
     with pytest.raises(DataError, match="instance id '0' is listed twice"):
         oracle.eval_many(instances, [7])

@@ -87,9 +87,9 @@ def test_external_oracle_error_reply_surfaces():
     with ExternalOracle(SERVE_3KP, schema) as remote:
         with pytest.raises(OracleError):
             # width guard trips inside the child and comes back as an error reply
-            remote._eval("all", Coalition.full(4), 0)
+            remote._eval_many("all", [0b1111], 0)
         # the child is still alive and answering
-        assert np.allclose(remote.eval("all", Coalition.full(3)), [0.5, 0.6, 0.7])
+        assert np.allclose(remote.eval("all", Coalition(0b111, 3)), [0.5, 0.6, 0.7])
 
 
 def test_external_oracle_timeout():
@@ -104,7 +104,7 @@ def test_external_oracle_timeout():
     oracle = ExternalOracle(cmd, schema, timeout=0.3)
     try:
         with pytest.raises(OracleError) as exc:
-            oracle.eval("all", Coalition.full(3))
+            oracle.eval("all", Coalition(0b111, 3))
         assert "timed out" in str(exc.value)
     finally:
         oracle.close()
@@ -131,11 +131,11 @@ def test_external_oracle_refuses_calls_after_timeout(tmp_path):
     oracle = ExternalOracle([sys.executable, str(script)], tiny_schema(), timeout=0.5)
     try:
         with pytest.raises(OracleError) as exc:
-            oracle.eval("all", Coalition.full(3))
+            oracle.eval("all", Coalition(0b111, 3))
         assert "timed out" in str(exc.value)
         for _ in range(2):
             with pytest.raises(OracleError) as exc:
-                oracle.eval("all", Coalition.empty(3))
+                oracle.eval("all", Coalition(0, 3))
             assert exc.value.code == "oracle-io"
         assert oracle._proc.poll() is not None  # the child was killed
     finally:
@@ -153,7 +153,7 @@ def test_env_var_overrides_command(monkeypatch):
     schema = tiny_schema()
     monkeypatch.setenv("KPSHAP_ORACLE_CMD", SERVE_3KP)
     with ExternalOracle("definitely-not-a-real-command", schema) as remote:
-        assert np.allclose(remote.eval("all", Coalition.full(3)), [0.5, 0.6, 0.7])
+        assert np.allclose(remote.eval("all", Coalition(0b111, 3)), [0.5, 0.6, 0.7])
 
 
 def test_env_var_overrides_timeout(monkeypatch):
@@ -170,7 +170,7 @@ def test_env_var_overrides_timeout(monkeypatch):
     try:
         assert oracle.timeout == 0.25
         with pytest.raises(OracleError):
-            oracle.eval("all", Coalition.full(3))
+            oracle.eval("all", Coalition(0b111, 3))
     finally:
         oracle.close()
 
@@ -475,7 +475,13 @@ def reference_replies(oracle, lines):
                 raise DataError(f"unsupported request: {raw.strip()[:200]}")
             inst = msg["instances"]
             instances = "all" if inst == ["all"] else tuple(inst)
-            coalition = Coalition.from_indices(msg["visible"], oracle.schema.n)
+            n = oracle.schema.n
+            bits = 0
+            for i in msg["visible"]:
+                if not 0 <= i < n:
+                    raise DataError(f"keypoint index {i} out of range for n={n}")
+                bits |= 1 << i
+            coalition = Coalition(bits, n)
             reply = {"values": [float(v) for v in oracle.eval(instances, coalition, msg["trial"])]}
         except DataError as e:
             reply = {"error": str(e)}

@@ -220,15 +220,16 @@ def separable_oracle(sizes, seed):
     tables = [rng.random(1 << s) for s in sizes]
 
     class Oracle(CoalitionValueOracle):
-        def _eval(self, instances, coalition, trial):
-            out = np.empty(n)
-            for k, members in enumerate(grouping.groups):
-                local = 0
-                for pos, j in enumerate(members):
-                    if coalition.contains(j):
-                        local |= 1 << pos
-                for j in members:
-                    out[j] = tables[k][local]
+        def _eval_many(self, instances, masks, trial):
+            out = np.empty((len(masks), n))
+            for row, mask in zip(out, masks):
+                for k, members in enumerate(grouping.groups):
+                    local = 0
+                    for pos, j in enumerate(members):
+                        if mask >> j & 1:
+                            local |= 1 << pos
+                    for j in members:
+                        row[j] = tables[k][local]
             return out
 
     return Oracle(schema), grouping, tables
