@@ -99,13 +99,10 @@ def interdependency(pi: np.ndarray, kc: np.ndarray) -> np.ndarray:
     return s
 
 
-def _cross(values: np.ndarray, a: tuple[int, ...], b: tuple[int, ...], linkage: str) -> float:
-    block = values[np.ix_(a, b)]
-    if linkage == "single":
-        return float(block.max())
-    if linkage == "average":
-        return float(block.mean())
-    return float(block.min())
+def _cross(values: np.ndarray, a: tuple[int, ...], b: tuple[int, ...]) -> float:
+    """Average linkage of clusters a and b: the mean of values[a, b], rows
+    from a and columns from b."""
+    return float(values[np.ix_(a, b)].mean())
 
 
 def cluster(
@@ -123,13 +120,17 @@ def cluster(
     The cross values of all live cluster pairs are kept in the upper
     triangle of one matrix, indexed by each cluster's smallest member; two
     singletons i < j start at s[i, j]. After a merge only the merged
-    cluster's values are recomputed, each as _cross(s, older, merged), the
-    orientation in which a rescan of every pair in creation order would
-    compute it, so even an "average" sum is the same float. The best pair is
-    the first maximum in row-major order, which is the tie-break above.
-    Cost: O(n^2) _cross calls and O(n^2) numpy element steps per merge, with
-    no allocation beyond the n x n matrix. An "average" that overflows to
-    NaN or to -inf for every live pair is refused.
+    cluster's values change, each read in the orientation s[older, merged],
+    the one in which a rescan of every pair in creation order reads it, so
+    even an "average" sum is the same float. For "single" and "complete" a
+    second matrix holds, for every two clusters a and b, the max (min) of
+    s[a, b]; a merge folds the two parents' row and column into the merged
+    one, elementwise and exact, so asymmetric s is handled too. "average"
+    sums each block with _cross. The best pair is the first maximum in
+    row-major order, which is the tie-break above.
+    Cost per merge: one argmax over the n x n matrix, then O(n) vector steps
+    for single/complete; O(n) _cross calls for average. An "average" that
+    overflows to NaN or to -inf for every live pair is refused.
     """
     s = np.asarray(s, dtype=np.float64)
     n = s.shape[0]
@@ -144,6 +145,10 @@ def cluster(
     # the diagonal, the lower triangle and the rows of merged-away clusters
     # hold -inf, so only live pairs can be the maximum
     cross = np.where(np.tri(n, dtype=bool), -np.inf, s)
+    # block[a, b]: the max (min) of s over rows in cluster a and columns in
+    # cluster b; only entries between two live clusters are ever read
+    block = s.copy()
+    fold = np.maximum if linkage == "single" else np.minimum
     clusters: dict[int, tuple[int, ...]] = {i: (i,) for i in range(n)}
     for _ in range(n - g):
         x, y = divmod(int(np.argmax(cross)), n)
@@ -151,7 +156,13 @@ def cluster(
             raise DataError(f"{linkage} linkage overflowed on this similarity")
         merged = tuple(sorted(clusters.pop(x) + clusters.pop(y)))
         cross[y, :] = cross[:, y] = -np.inf
-        for k, other in clusters.items():
-            cross[min(k, x), max(k, x)] = _cross(s, other, merged, linkage)
+        if linkage == "average":
+            for k, other in clusters.items():
+                cross[min(k, x), max(k, x)] = _cross(s, other, merged)
+        else:
+            fold(block[:, x], block[:, y], out=block[:, x])
+            fold(block[x], block[y], out=block[x])
+            live = np.fromiter(clusters, dtype=np.intp, count=len(clusters))
+            cross[np.minimum(live, x), np.maximum(live, x)] = block[live, x]
         clusters[x] = merged
     return Grouping.from_sets(clusters.values(), n)

@@ -132,8 +132,10 @@ def _tables(table: np.ndarray, players, targets) -> list[ShapleyTable]:
     for j in range(n):
         without = masks[(masks >> j) & 1 == 0]
         weighted = weight[size[without]] * (games[:, without | (1 << j)] - games[:, without])
-        for t, row in enumerate(weighted):
-            phi[t, j] = np.sum(row)
+        # the fancy-indexed columns leave `weighted` F-ordered, and reducing
+        # that across axis 1 adds column by column; over a C-contiguous copy
+        # numpy sums each row pairwise, exactly as np.sum sums it alone
+        phi[:, j] = np.add.reduce(np.ascontiguousarray(weighted), axis=1)
     return [
         ShapleyTable(
             target=target,
@@ -241,6 +243,24 @@ def group_label(k: int) -> str:
     return f"group{k + 1}"
 
 
+def _group_means(values: np.ndarray, groups) -> np.ndarray:
+    """Column h holds each row's mean over the columns of groups[h].
+
+    A group coalition's value is the target group's mean performance: each
+    row's 1-D sum divided by the group size, which is what np.mean of a 1-D
+    row does.
+    """
+    means = np.empty((len(values), len(groups)), dtype=np.float64)
+    for h, members in enumerate(groups):
+        # values[:, members] is F-ordered, and reducing it across axis 1 adds
+        # column by column, which rounds differently once a group has 8 or
+        # more members; over a C-contiguous copy numpy sums each row
+        # pairwise, as it sums a 1-D row
+        block = np.ascontiguousarray(values[:, list(members)])
+        means[:, h] = np.add.reduce(block, axis=1) / len(members)
+    return means
+
+
 def _price_stage(names, grouping: Grouping, k: int, values) -> list[ShapleyTable]:
     """Price every target stage k serves from its value rows, row r being
     the value of the stage's r-th coalition (``_coalitions`` order).
@@ -252,16 +272,8 @@ def _price_stage(names, grouping: Grouping, k: int, values) -> list[ShapleyTable
         members = list(grouping.groups[k])
         players = tuple(names[i] for i in members)
         return _tables(values[:, members], players, players)
-    # a group coalition's value is the target group's mean performance, one
-    # 1-D sum per coalition divided by the group size, which is what np.mean
-    # of a 1-D row does: a 2-D mean(axis=1) rounds differently once a group
-    # has 8 or more members
-    means = np.empty((len(values), grouping.g), dtype=np.float64)
-    for h, members in enumerate(grouping.groups):
-        for m, row in enumerate(values[:, list(members)]):
-            means[m, h] = np.add.reduce(row) / len(members)
     labels = tuple(group_label(h) for h in range(grouping.g))
-    return _tables(means, labels, labels)
+    return _tables(_group_means(values, grouping.groups), labels, labels)
 
 
 def _price_batch(oracle, grouping: Grouping, stages, instances, trial):
@@ -396,6 +408,14 @@ class AttributionReport:
         }
 
 
+def _check_table(what: str, table: ShapleyTable, target: str, players: tuple[str, ...]) -> None:
+    if table.target != target or tuple(table.players) != players:
+        raise DataError(
+            f"{what} prices {table.target!r} over {list(table.players)}, "
+            f"expected {target!r} over {list(players)}"
+        )
+
+
 def combined_attribution(
     schema: KeypointSchema,
     grouping: Grouping,
@@ -410,42 +430,59 @@ def combined_attribution(
     split uniformly across the foreign group's members, or proportionally to
     each member's own normalized within-group self-value in
     ``proportional`` mode.
+
+    Table i must price keypoint i over its group's members in order, and
+    group table h must price ``group{h+1}`` over all groups in order; the
+    first table that does not is refused.
     """
     if split_mode not in SPLIT_MODES:
         raise DataError(f"unknown split mode {split_mode!r}, pick from {SPLIT_MODES}")
     n = schema.n
+    if grouping.n != n:
+        raise DataError(f"grouping over n={grouping.n}, schema has n={n}")
     intra_tables = tuple(intra_tables)
     group_tables = tuple(group_tables)
     if len(intra_tables) != n or len(group_tables) != grouping.g:
         raise DataError("need one intra table per keypoint and one group table per group")
 
+    label = np.empty(n, dtype=np.intp)
+    for h, members in enumerate(grouping.groups):
+        label[list(members)] = h
+    names = schema.names
+    players = [tuple(names[j] for j in members) for members in grouping.groups]
+    labels = tuple(group_label(h) for h in range(grouping.g))
+    for i, table in enumerate(intra_tables):
+        _check_table(f"intra table {i}", table, names[i], players[label[i]])
+    for h, table in enumerate(group_tables):
+        _check_table(f"group table {h}", table, labels[h], labels)
+
     intra_norm = [normalize_nonneg(t.phi) for t in intra_tables]
-    group_norm = [normalize_nonneg(t.phi) for t in group_tables]
+    psi = np.array([normalize_nonneg(t.phi) for t in group_tables])
 
-    # self_share[j]: keypoint j's normalized within-group self-value
-    self_share = np.empty(n, dtype=np.float64)
-    for j in range(n):
-        members = grouping.groups[grouping.group_of(j)]
-        self_share[j] = intra_norm[j][members.index(j)]
+    # weight[j]: keypoint j's part of its group's share in a foreign row;
+    # uniform, or in proportional mode proportional to the members'
+    # normalized within-group self-values unless these all vanish
+    weight = np.empty(n, dtype=np.float64)
+    for members in map(list, grouping.groups):
+        share = np.array([intra_norm[j][pos] for pos, j in enumerate(members)])
+        if split_mode == "proportional" and share.sum() > 0:
+            weight[members] = share / share.sum()
+        else:
+            weight[members] = 1.0 / len(members)
 
-    sigma = np.zeros((n, n), dtype=np.float64)
-    for i in range(n):
-        gi = grouping.group_of(i)
-        psi = group_norm[gi]
-        row = np.zeros(n, dtype=np.float64)
-        for pos, j in enumerate(grouping.groups[gi]):
-            row[j] = psi[gi] * intra_norm[i][pos]
-        for h in range(grouping.g):
-            if h == gi:
-                continue
-            members = list(grouping.groups[h])
-            if split_mode == "proportional":
-                w = self_share[members]
-                w = w / w.sum() if w.sum() > 0 else np.full(len(members), 1 / len(members))
-            else:
-                w = np.full(len(members), 1.0 / len(members))
-            row[members] = psi[h] * w
-        sigma[i] = normalize_nonneg(row)
+    # sigma[i, j] = psi[i's group][j's group] * weight[j], except in i's own
+    # group, where it is the group's self-share times i's within-group share
+    sigma = psi[label][:, label] * weight
+    for h, members in enumerate(map(list, grouping.groups)):
+        sigma[np.ix_(members, members)] = psi[h, h] * np.array([intra_norm[i] for i in members])
+    # the fancy-indexed matrix is F-ordered, and reducing that across axis 1
+    # adds column by column; over C-contiguous rows numpy sums each row
+    # pairwise, as normalize_nonneg sums one row alone
+    sigma = np.ascontiguousarray(np.maximum(sigma, 0.0))
+    total = np.add.reduce(sigma, axis=1)
+    if np.any(total <= 0.0):
+        raise DataError("no positive mass to normalize", code="degenerate-attribution")
+    sigma /= total[:, None]
 
     return AttributionReport(
         names=schema.names,

@@ -11,7 +11,8 @@ from kpshap import (
     keypoint_connectivity,
     perturbation_influence,
 )
-from kpshap.grouping import LINKAGES, _cross
+from kpshap import grouping as grouping_module
+from kpshap.grouping import LINKAGES
 
 
 def sym_matrix(n, seed):
@@ -22,15 +23,32 @@ def sym_matrix(n, seed):
     return s
 
 
+def reference_block(s, a, b, linkage):
+    """Linkage of clusters a and b over the block s[a, b], rows from a."""
+    block = s[np.ix_(a, b)]
+    assert block.shape == (len(a), len(b))
+    if linkage == "single":
+        return float(block.max())
+    if linkage == "average":
+        return float(block.mean())
+    return float(block.min())
+
+
 def reference_cluster(s, g, linkage):
-    """The loop cluster() replaced: rescan every pair after each merge."""
+    """The loop cluster() replaced: rescan every pair after each merge. A
+    pair keeps its orientation while both clusters live, so each block is
+    reduced once."""
     clusters = [(i,) for i in range(len(s))]
+    blocks = {}
     while len(clusters) > g:
         best_key = None
         best_pair = None
         for x in range(len(clusters)):
             for y in range(x + 1, len(clusters)):
-                v = _cross(s, clusters[x], clusters[y], linkage)
+                pair = (clusters[x], clusters[y])
+                if pair not in blocks:
+                    blocks[pair] = reference_block(s, *pair, linkage)
+                v = blocks[pair]
                 lo, hi = sorted((clusters[x][0], clusters[y][0]))
                 key = (-v, lo, hi)
                 if best_key is None or key < best_key:
@@ -202,6 +220,36 @@ def test_cluster_matches_reference_on_floats(linkage):
     s = sym_matrix(40, 3) * np.random.default_rng(4).lognormal(0.0, 3.0, size=(40, 40))
     for g in (1, 7, 13):
         assert cluster(s, g=g, linkage=linkage) == reference_cluster(s, g, linkage)
+
+
+@pytest.mark.parametrize("linkage", ["single", "complete"])
+@pytest.mark.parametrize("symmetric", [True, False], ids=["symmetric", "asymmetric"])
+def test_cluster_matches_reference_at_n100(linkage, symmetric):
+    # uneven floats with an uneven diagonal; asymmetric s is read only in
+    # the reference's orientation, rows from the older cluster
+    rng = np.random.default_rng(100)
+    a = rng.lognormal(0.0, 2.0, size=(100, 100))
+    s = a + a.T if symmetric else a
+    assert np.array_equal(s, s.T) == symmetric
+    for g in (1, 12, 60):
+        assert cluster(s, g=g, linkage=linkage) == reference_cluster(s, g, linkage)
+
+
+def test_only_average_reduces_blocks(monkeypatch):
+    calls = []
+    block_mean = grouping_module._cross
+
+    def spy(*args):
+        calls.append(args)
+        return block_mean(*args)
+
+    monkeypatch.setattr(grouping_module, "_cross", spy)
+    s = sym_matrix(30, 5)
+    for linkage in ("single", "complete"):
+        cluster(s, g=1, linkage=linkage)
+    assert calls == []
+    cluster(s, g=1, linkage="average")
+    assert len(calls) == sum(range(1, 29))
 
 
 def test_cluster_rejects_non_finite():

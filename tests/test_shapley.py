@@ -17,6 +17,7 @@ from kpshap import (
     MissingCoalitionError,
     QueryBudget,
     SyntheticModelConfig,
+    ShapleyTable,
     SyntheticOracle,
     TabularOracle,
     combined_attribution,
@@ -32,6 +33,7 @@ from kpshap import (
     sampled_shapley,
     write_game_csv,
 )
+from kpshap.shapley import _group_means, _tables
 from tests.test_protocol import RecordingOracle
 
 
@@ -473,3 +475,214 @@ def test_partial_table_misses_the_coalition_stage_by_stage_misses(
     with pytest.raises(MissingCoalitionError) as packed:
         run_group_attribution(oracle, expected_grouping)
     assert str(packed.value) == str(alone.value) == f"no value for coalition {first_missing:#x}"
+
+
+# --- table and grouping must agree ----------------------------------------
+
+
+def coco_tables(schema, grouping, config):
+    report, _ = run_group_attribution(SyntheticOracle(config, schema), grouping)
+    return list(report.intra_tables), list(report.group_tables)
+
+
+def test_combined_attribution_refuses_an_extra_intra_player(
+    schema, expected_grouping, synthetic_config
+):
+    intra, groups = coco_tables(schema, expected_grouping, synthetic_config)
+    t = intra[0]
+    intra[0] = ShapleyTable(
+        t.target, t.players + ("l-hip",), t.phi + (0.5,), t.value_full, t.value_empty
+    )
+    with pytest.raises(DataError, match=r"^intra table 0 prices 'nose' over \[.*'l-hip'\]"):
+        combined_attribution(schema, expected_grouping, intra, groups)
+
+
+def test_combined_attribution_refuses_a_short_intra_table(
+    schema, expected_grouping, synthetic_config
+):
+    intra, groups = coco_tables(schema, expected_grouping, synthetic_config)
+    t = intra[7]
+    intra[7] = ShapleyTable(t.target, t.players[:-1], t.phi[:-1], t.value_full, t.value_empty)
+    with pytest.raises(DataError, match=r"^intra table 7 prices 'l-elbow' over "):
+        combined_attribution(schema, expected_grouping, intra, groups)
+
+
+def test_combined_attribution_refuses_a_partial_group_table(
+    schema, expected_grouping, synthetic_config
+):
+    intra, groups = coco_tables(schema, expected_grouping, synthetic_config)
+    t = groups[2]
+    groups[2] = ShapleyTable(t.target, t.players[:3], t.phi[:3], t.value_full, t.value_empty)
+    with pytest.raises(
+        DataError,
+        match=r"^group table 2 prices 'group3' over \['group1', 'group2', 'group3'\], "
+        r"expected 'group3' over \['group1', 'group2', 'group3', 'group4', 'group5'\]$",
+    ):
+        combined_attribution(schema, expected_grouping, intra, groups)
+
+
+def test_combined_attribution_refuses_swapped_intra_tables(
+    schema, expected_grouping, synthetic_config
+):
+    intra, groups = coco_tables(schema, expected_grouping, synthetic_config)
+    intra[5], intra[11] = intra[11], intra[5]
+    with pytest.raises(DataError, match=r"^intra table 5 prices 'l-hip' over .*expected 'l-shoulder'"):
+        combined_attribution(schema, expected_grouping, intra, groups)
+
+
+def test_combined_attribution_refuses_a_grouping_of_another_size(
+    schema, expected_grouping, synthetic_config
+):
+    intra, groups = coco_tables(schema, expected_grouping, synthetic_config)
+    smaller = Grouping.from_sets([range(0, 8), range(8, 16)], 16)
+    with pytest.raises(DataError, match=r"^grouping over n=16, schema has n=17$"):
+        combined_attribution(schema, smaller, intra, groups)
+
+
+# --- whole-array reductions against the loops they replaced ------------------
+
+
+def loop_group_means(values, groups):
+    """The per-row loop _group_means replaced: one 1-D sum per row."""
+    means = np.empty((len(values), len(groups)), dtype=np.float64)
+    for h, members in enumerate(groups):
+        for m, row in enumerate(values[:, list(members)]):
+            means[m, h] = np.add.reduce(row) / len(members)
+    return means
+
+
+def loop_phi(table, n):
+    """The per-target loop _tables replaced: one np.sum per (player, target)."""
+    games = np.ascontiguousarray(table.T)
+    masks = np.arange(1 << n, dtype=np.int64)
+    size = np.zeros(1 << n, dtype=np.int64)
+    for b in range(n):
+        size += (masks >> b) & 1
+    fact = [math.factorial(k) for k in range(n + 1)]
+    weight = np.array([fact[k] * fact[n - 1 - k] / fact[n] for k in range(n)])
+    phi = np.empty((table.shape[1], n), dtype=np.float64)
+    for j in range(n):
+        without = masks[(masks >> j) & 1 == 0]
+        weighted = weight[size[without]] * (games[:, without | (1 << j)] - games[:, without])
+        for t, row in enumerate(weighted):
+            phi[t, j] = np.sum(row)
+    return phi
+
+
+def loop_sigma(grouping, intra_tables, group_tables, split_mode):
+    """The per-row loop combined_attribution replaced."""
+    n = grouping.n
+    intra_norm = [normalize_nonneg(t.phi) for t in intra_tables]
+    group_norm = [normalize_nonneg(t.phi) for t in group_tables]
+    self_share = np.empty(n, dtype=np.float64)
+    for j in range(n):
+        members = grouping.groups[grouping.group_of(j)]
+        self_share[j] = intra_norm[j][members.index(j)]
+    sigma = np.zeros((n, n), dtype=np.float64)
+    for i in range(n):
+        gi = grouping.group_of(i)
+        psi = group_norm[gi]
+        row = np.zeros(n, dtype=np.float64)
+        for pos, j in enumerate(grouping.groups[gi]):
+            row[j] = psi[gi] * intra_norm[i][pos]
+        for h in range(grouping.g):
+            if h == gi:
+                continue
+            members = list(grouping.groups[h])
+            if split_mode == "proportional":
+                w = self_share[members]
+                w = w / w.sum() if w.sum() > 0 else np.full(len(members), 1 / len(members))
+            else:
+                w = np.full(len(members), 1.0 / len(members))
+            row[members] = psi[h] * w
+        sigma[i] = normalize_nonneg(row)
+    return sigma
+
+
+def uneven(rng, shape):
+    """Floats over many magnitudes, so that summation order shows."""
+    return rng.lognormal(0.0, 2.0, size=shape) * rng.choice([-1.0, 1.0], size=shape)
+
+
+def split(order, sizes):
+    out, start = [], 0
+    for size in sizes:
+        out.append(tuple(sorted(order[start : start + size])))
+        start += size
+    return out
+
+
+@pytest.mark.parametrize("width", [*range(1, 41), 127, 128, 129, 300])
+def test_group_means_match_the_row_loop_at_block_edges(width):
+    rng = np.random.default_rng(width)
+    for rows in (1, 7, 8, 129, 4096):
+        values = uneven(rng, (rows, width + 3))
+        groups = [tuple(range(1, width + 1)), (0, width + 1, width + 2)]
+        assert np.array_equal(_group_means(values, groups), loop_group_means(values, groups))
+
+
+@given(st.integers(1, 4096), st.lists(st.integers(1, 40), min_size=1, max_size=6), st.data())
+@settings(max_examples=60, deadline=None)
+def test_group_means_match_the_row_loop(rows, sizes, data):
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    values = uneven(rng, (rows, sum(sizes)))
+    groups = split(rng.permutation(sum(sizes)), sizes)
+    assert np.array_equal(_group_means(values, groups), loop_group_means(values, groups))
+
+
+@given(st.integers(1, 12), st.integers(1, 20), st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_tables_match_the_per_target_loop(n, t, seed):
+    table = uneven(np.random.default_rng(seed), (1 << n, t))
+    players = tuple(f"p{j}" for j in range(n))
+    targets = tuple(f"t{k}" for k in range(t))
+    got = _tables(table, players, targets)
+    want = loop_phi(table, n)
+    assert [tab.target for tab in got] == list(targets)
+    assert np.array_equal(np.array([tab.phi for tab in got]), want)
+
+
+def random_tables(grouping, rng):
+    """Intra and group tables that fit the grouping, with some negative
+    entries, and one group whose self-values all vanish."""
+    names = tuple(f"k{i}" for i in range(grouping.n))
+    intra = [None] * grouping.n
+    for h, members in enumerate(grouping.groups):
+        players = tuple(names[j] for j in members)
+        for pos, i in enumerate(members):
+            phi = rng.random(len(members)) - 0.2
+            phi[pos] = abs(phi[pos]) + 0.1
+            if h == 1 and len(members) > 1:
+                phi[pos - 1], phi[pos] = phi[pos], 0.0
+            intra[i] = ShapleyTable(names[i], players, tuple(phi), 1.0, 0.0)
+    labels = tuple(f"group{h + 1}" for h in range(grouping.g))
+    group = []
+    for h, label in enumerate(labels):
+        phi = rng.random(grouping.g) - 0.1
+        phi[h] += 0.2
+        group.append(ShapleyTable(label, labels, tuple(phi), 1.0, 0.0))
+    schema = load_schema({"names": list(names), "edges": [list(names[:2])]})[0]
+    return schema, intra, group
+
+
+@pytest.mark.parametrize("split_mode", ["uniform", "proportional"])
+@pytest.mark.parametrize("sizes", [[9, 11], [8, 1, 30, 12, 2], [40, 3, 129]])
+def test_combined_attribution_matches_the_row_loop(split_mode, sizes):
+    rng = np.random.default_rng(sum(sizes))
+    grouping = Grouping.from_sets(split(rng.permutation(sum(sizes)), sizes), sum(sizes))
+    schema, intra, group = random_tables(grouping, rng)
+    report = combined_attribution(schema, grouping, intra, group, split_mode)
+    assert np.array_equal(report.sigma, loop_sigma(grouping, intra, group, split_mode))
+    assert report.sigma.flags.c_contiguous
+
+
+@given(st.lists(st.integers(1, 12), min_size=2, max_size=6), st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_combined_attribution_matches_the_row_loop_on_random_groupings(sizes, seed):
+    rng = np.random.default_rng(seed)
+    grouping = Grouping.from_sets(split(rng.permutation(sum(sizes)), sizes), sum(sizes))
+    schema, intra, group = random_tables(grouping, rng)
+    for split_mode in ("uniform", "proportional"):
+        report = combined_attribution(schema, grouping, intra, group, split_mode)
+        assert np.array_equal(report.sigma, loop_sigma(grouping, intra, group, split_mode))
