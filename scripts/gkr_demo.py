@@ -22,6 +22,7 @@ from kpshap import (
     save_image,
     write_plans,
 )
+from kpshap.shapley import group_label
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -67,7 +68,7 @@ def main():
 
     expect = 1.0 - ns.keep_prob
     for k, freq in enumerate(counts / ns.trials):
-        print(f"group{k + 1}: erased {freq:.3f} of trials (expected {expect:.3f})")
+        print(f"{group_label(k)}: erased {freq:.3f} of trials (expected {expect:.3f})")
     print(f"wrote {out_dir / 'plans.jsonl'}, {out_dir / 'before.ppm'}, {out_dir / 'after.ppm'}")
 
 

@@ -19,6 +19,7 @@ from kpshap import (
     read_delta_csv,
     render_heatmap,
 )
+from kpshap.shapley import group_label
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -45,7 +46,7 @@ def main():
     (out_dir / "interdependency.svg").write_text(render_heatmap(s, schema.names))
 
     for k, members in enumerate(grouping.groups):
-        print(f"group{k + 1}:", " ".join(schema.names[i] for i in members))
+        print(f"{group_label(k)}:", " ".join(schema.names[i] for i in members))
     print(f"wrote {out_dir / 'grouping.json'} and {out_dir / 'interdependency.svg'}")
 
 

@@ -9,9 +9,10 @@ Exit codes: 0 ok, 2 usage, 3 schema/data error, 4 oracle error.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import warnings
-from pathlib import Path
+from pathlib import Path, PurePath
 
 from . import __version__
 from .analysis import (
@@ -56,6 +57,7 @@ from .shapley import (
     SPLIT_MODES,
     exact_query_count,
     exact_shapley,
+    group_label,
     query_count,
     read_game_csv,
     run_group_attribution,
@@ -176,7 +178,7 @@ def cmd_cluster(ns) -> int:
         schema_pair=(schema, skeleton),
     )
     for k, members in enumerate(grouping.groups):
-        print(f"group{k + 1}: " + " ".join(schema.names[i] for i in members))
+        print(f"{group_label(k)}: " + " ".join(schema.names[i] for i in members))
     print(f"wrote {ns.out}, {path}")
     return 0
 
@@ -303,32 +305,56 @@ def cmd_gkr_plan(ns) -> int:
     return 0
 
 
+def _plan_image(root: Path, file_name: str) -> Path:
+    """root / file_name, refusing a plan's file name that could leave root."""
+    name = PurePath(file_name)
+    if name.is_absolute() or ".." in name.parts:
+        raise DataError(f"plan file_name {file_name!r} must be relative and without '..'")
+    return root / name
+
+
+def _file_id(path):
+    """Device and inode of an existing file, None if there is none. Every
+    name of one file has the same id: a symlink, a hard link, or the same
+    directory given twice."""
+    if not os.path.exists(path):
+        return None
+    st = os.stat(path)
+    return st.st_dev, st.st_ino
+
+
 def cmd_gkr_apply(ns) -> int:
     plans = read_plans(ns.plans)
     images_dir = Path(ns.images)
     out_dir = Path(ns.out)
+    by_file: dict[str, list] = {}
+    for plan in plans:
+        by_file.setdefault(plan.file_name, []).append(plan)
+    if not by_file:
+        raise DataError(f"no plans in {ns.plans}")
+    files = [
+        (_plan_image(images_dir, name), _plan_image(out_dir, name), file_plans)
+        for name, file_plans in by_file.items()
+    ]
+    if ns.manifest is None:
+        ns.manifest = str(out_dir / "gkr-apply.manifest.json")
+    inputs = [ns.plans, *(str(src) for src, _, _ in files)]
+    outputs = [str(dst) for _, dst, _ in files]
+    # writing over an input would erase what the run reads, and the manifest
+    # would then digest the erased bytes as the input
+    read = {_file_id(path) for path in inputs} - {None}
+    for path in [*outputs, ns.manifest]:
+        if _file_id(path) in read:
+            raise DataError(f"gkr apply would write over its input {path}")
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as e:
         raise DataError(f"cannot create output directory {out_dir}: {e}") from e
-    by_file: dict[str, list] = {}
-    for plan in plans:
-        by_file.setdefault(plan.file_name, []).append(plan)
-    inputs = [ns.plans]
-    outputs = []
-    for file_name, file_plans in by_file.items():
-        src = images_dir / file_name
+    for src, dst, file_plans in files:
         image = load_image(src)
         for plan in file_plans:
             image = apply_plan(image, plan)
-        dst = out_dir / file_name
         save_image(dst, image)
-        inputs.append(str(src))
-        outputs.append(str(dst))
-    if not outputs:
-        raise DataError(f"no plans in {ns.plans}")
-    if ns.manifest is None:
-        ns.manifest = str(out_dir / "gkr-apply.manifest.json")
     path = _emit_manifest(ns, "gkr apply", inputs=inputs, outputs=outputs)
     print(f"applied {len(plans)} plans to {len(outputs)} images; wrote {path}")
     return 0

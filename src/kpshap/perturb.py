@@ -68,7 +68,11 @@ def gen_masks(
         )
     if base_scale <= 0:
         raise DataError(f"base_scale must be positive, got {base_scale}")
-    side2 = (base_scale * min(w_img, h_img)) ** 2
+    side = base_scale * min(w_img, h_img)
+    # a mask's longer side is at most sqrt(side^2 * area_range[1] * aspect_range[1])
+    if not math.isfinite(side * side * area_range[1] * aspect_range[1]):
+        raise DataError(f"base_scale {base_scale} gives a mask side that is not a finite number")
+    side2 = side**2
     rng = generator("masks", seed)
     masks = []
     for _ in range(m):

@@ -7,13 +7,16 @@ whole groups against each other. Both stages are exact Shapley computations
 over at most a handful of players, so the budget collapses from 2^n to
 sum_k 2^|G_k| + 2^g.
 
-The stages are listed in one place (``_stages``): one per group, then the
-group stage. A full run submits consecutive small stages together as one
-``eval_many`` batch of at most ``_PACK_ROWS`` coalitions, and a larger stage
-as a batch of its own; one weighted-difference pass then prices all of a
-stage's targets from its slice of the rows. The oracle sees each stage
-coalition exactly once no matter how many targets it serves, and the budget
-is the summed stage sizes.
+A player is a set of keypoints shown or hidden together, and its game is
+the mean performance of its keypoints: one keypoint per player inside a
+group, one group per player across groups (the Owen value's coalition
+structure). The stages, their players and labels are listed in one place
+(``_stages``), and every stage is priced the same way, from one row of
+coalition values per player. A full run submits consecutive small stages
+together as one ``eval_many`` batch of at most ``_PACK_ROWS`` coalitions, and
+a larger stage as a batch of its own. The oracle sees each stage coalition
+exactly once no matter how many targets it serves, and the budget is the
+summed stage sizes.
 """
 
 from __future__ import annotations
@@ -111,17 +114,17 @@ def _popcounts(n: int) -> np.ndarray:
     return size
 
 
-def _tables(table: np.ndarray, players, targets) -> list[ShapleyTable]:
+def _tables(games: np.ndarray, players, targets) -> list[ShapleyTable]:
     """Exact Shapley tables of t games over the same players, in one pass.
 
-    ``table`` is (2^n, t), one column of coalition values per target. Each
-    target's weighted gains are summed as their own contiguous row, so pricing
-    t games together rounds exactly as pricing them one at a time.
+    ``games`` is (t, 2^n): row t holds target t's game, one value per
+    coalition bitmask. Each target's weighted gains are summed as their own
+    contiguous row, so pricing t games together rounds exactly as pricing
+    them one at a time.
     """
-    if not np.all(np.isfinite(table)):
+    if not np.all(np.isfinite(games)):
         raise DataError("game value is non-finite")
     n = len(players)
-    games = np.ascontiguousarray(table.T)
     size = _popcounts(n)
     fact = [math.factorial(k) for k in range(n + 1)]
     weight = np.array(
@@ -141,8 +144,8 @@ def _tables(table: np.ndarray, players, targets) -> list[ShapleyTable]:
             target=target,
             players=players,
             phi=tuple(float(v) for v in phi[t]),
-            value_full=float(table[-1, t]),
-            value_empty=float(table[0, t]),
+            value_full=float(games[t, -1]),
+            value_empty=float(games[t, 0]),
         )
         for t, target in enumerate(targets)
     ]
@@ -161,7 +164,7 @@ def exact_shapley(values, players=None, target: str = "") -> ShapleyTable:
     players = tuple(players)
     if len(players) != n:
         raise DataError(f"{len(players)} player labels for n={n}")
-    return _tables(table[:, None], players, (target,))[0]
+    return _tables(table[None, :], players, (target,))[0]
 
 
 def read_game_csv(path) -> np.ndarray:
@@ -218,81 +221,62 @@ def sampled_shapley(
     )
 
 
-def _stages(grouping: Grouping) -> list[tuple[int, ...]]:
-    """Player bits of every stage: one stage per group, then the group stage.
-
-    Stage k's players are group k's members, one bit each; the last stage's
-    players are whole groups. query_count and every stage evaluation read
-    this one list.
-    """
-    groups = [tuple(1 << i for i in grp) for grp in grouping.groups]
-    return groups + [tuple(sum(players) for players in groups)]
-
-
-def _coalitions(players: tuple[int, ...], n: int) -> list[int]:
-    """The 2^k coalitions of a stage; bit j of a coalition's index picks
-    players[j], and every keypoint outside the players stays visible."""
-    _check_player_count(len(players))
-    bits = [((1 << n) - 1) ^ sum(players)]
-    for p in players:
-        bits += [b | p for b in bits]
-    return bits
-
-
 def group_label(k: int) -> str:
     return f"group{k + 1}"
 
 
-def _group_means(values: np.ndarray, groups) -> np.ndarray:
-    """Column h holds each row's mean over the columns of groups[h].
+def _stages(grouping: Grouping, names) -> list[tuple[tuple, tuple]]:
+    """Every stage's players and their labels: one stage per group, then the
+    group stage. A player is a tuple of keypoints shown or hidden together:
+    group k's stage has one player per member, labelled by ``names``, and the
+    group stage one player per group, labelled ``group_label(h)``. Evaluation,
+    pricing, the budget and the table checks all read this one list."""
+    stages = [(tuple((i,) for i in grp), tuple(names[i] for i in grp)) for grp in grouping.groups]
+    return stages + [(grouping.groups, tuple(group_label(h) for h in range(grouping.g)))]
 
-    A group coalition's value is the target group's mean performance: each
-    row's 1-D sum divided by the group size, which is what np.mean of a 1-D
-    row does.
+
+def _coalitions(players, n: int) -> list[int]:
+    """The 2^k coalitions of a stage; bit j of a coalition's index shows
+    players[j], and every keypoint outside the players stays visible."""
+    _check_player_count(len(players))
+    masks = [sum(1 << i for i in player) for player in players]
+    bits = [((1 << n) - 1) ^ sum(masks)]
+    for p in masks:
+        bits += [b | p for b in bits]
+    return bits
+
+
+def _group_means(values: np.ndarray, players) -> np.ndarray:
+    """Row h holds player h's game: each coalition's mean performance over
+    the keypoints of players[h].
+
+    The mean is each coalition's 1-D sum divided by the player's size, which
+    is what np.mean of a 1-D row does; a one-keypoint player's row is its
+    keypoint's values, except that -0.0 reads as 0.0, as in any numpy sum.
     """
-    means = np.empty((len(values), len(groups)), dtype=np.float64)
-    for h, members in enumerate(groups):
+    means = np.empty((len(players), len(values)), dtype=np.float64)
+    for h, members in enumerate(players):
         # values[:, members] is F-ordered, and reducing it across axis 1 adds
-        # column by column, which rounds differently once a group has 8 or
-        # more members; over a C-contiguous copy numpy sums each row
+        # column by column, which rounds differently once a player has 8 or
+        # more keypoints; over a C-contiguous copy numpy sums each row
         # pairwise, as it sums a 1-D row
         block = np.ascontiguousarray(values[:, list(members)])
-        means[:, h] = np.add.reduce(block, axis=1) / len(members)
+        means[h] = np.add.reduce(block, axis=1) / len(members)
     return means
 
 
-def _price_stage(names, grouping: Grouping, k: int, values) -> list[ShapleyTable]:
-    """Price every target stage k serves from its value rows, row r being
-    the value of the stage's r-th coalition (``_coalitions`` order).
-
-    Stages 0..g-1 are the within-group stages and give one table per member
-    of group k; stage g is the group stage and gives one table per group.
-    """
-    if k < grouping.g:
-        members = list(grouping.groups[k])
-        players = tuple(names[i] for i in members)
-        return _tables(values[:, members], players, players)
-    labels = tuple(group_label(h) for h in range(grouping.g))
-    return _tables(_group_means(values, grouping.groups), labels, labels)
-
-
-def _price_batch(oracle, grouping: Grouping, stages, instances, trial):
-    """Score the given (k, coalition bits) stages as one eval_many, in order,
-    and price each stage from its slice of the rows. Returns one list of
-    tables per stage. The batch's value array lives only for this call."""
+def _price_batch(oracle, stages, instances, trial):
+    """Score the given (stage, coalition bits) pairs as one eval_many, in
+    order, and price every player of each stage from its slice of the rows.
+    Returns one list of tables per stage. The batch's value array lives only
+    for this call."""
     values = oracle.eval_many(instances, [m for _, bits in stages for m in bits], trial)
     priced, start = [], 0
-    for k, bits in stages:
-        rows = values[start : start + len(bits)]
-        priced.append(_price_stage(oracle.schema.names, grouping, k, rows))
+    for (players, labels), bits in stages:
+        games = _group_means(values[start : start + len(bits)], players)
+        priced.append(_tables(games, labels, labels))
         start += len(bits)
     return priced
-
-
-def _stage_tables(oracle, grouping: Grouping, k: int, instances, trial) -> list[ShapleyTable]:
-    """Evaluate stage k as one batch and price every target it serves."""
-    bits = _coalitions(_stages(grouping)[k], grouping.n)
-    return _price_batch(oracle, grouping, [(k, bits)], instances, trial)[0]
 
 
 def _packs(sizes) -> list[range]:
@@ -321,8 +305,9 @@ def intra_group_shapley(
     only the group members, reading off the target's performance component.
     """
     k = grouping.group_of(target)
-    tables = _stage_tables(oracle, grouping, k, instances, trial)
-    return tables[grouping.groups[k].index(target)]
+    stage = _stages(grouping, oracle.schema.names)[k]
+    tables = _price_batch(oracle, [(stage, _coalitions(stage[0], grouping.n))], instances, trial)
+    return tables[0][grouping.groups[k].index(target)]
 
 
 def group_shapley(
@@ -339,7 +324,9 @@ def group_shapley(
     """
     if not 0 <= target_group < grouping.g:
         raise DataError(f"target group {target_group} out of range")
-    return _stage_tables(oracle, grouping, grouping.g, instances, trial)[target_group]
+    stage = _stages(grouping, oracle.schema.names)[-1]
+    tables = _price_batch(oracle, [(stage, _coalitions(stage[0], grouping.n))], instances, trial)
+    return tables[0][target_group]
 
 
 def normalize_nonneg(values) -> np.ndarray:
@@ -363,10 +350,11 @@ def query_count(grouping: Grouping, trials: int = 1) -> QueryBudget:
     Refuses, as the run does, a grouping with a stage of more than
     MAX_PLAYERS players."""
     _check_trials(trials)
-    stages = _stages(grouping)
-    for players in stages:
+    # the labels are not read, so keypoint indices stand in for names
+    stages = _stages(grouping, range(grouping.n))
+    for players, _ in stages:
         _check_player_count(len(players))
-    calls = sum(1 << len(players) for players in stages)
+    calls = sum(1 << len(players) for players, _ in stages)
     return QueryBudget(calls, calls * trials)
 
 
@@ -432,7 +420,7 @@ def combined_attribution(
     ``proportional`` mode.
 
     Table i must price keypoint i over its group's members in order, and
-    group table h must price ``group{h+1}`` over all groups in order; the
+    group table h must price ``group_label(h)`` over all groups in order; the
     first table that does not is refused.
     """
     if split_mode not in SPLIT_MODES:
@@ -448,11 +436,10 @@ def combined_attribution(
     label = np.empty(n, dtype=np.intp)
     for h, members in enumerate(grouping.groups):
         label[list(members)] = h
-    names = schema.names
-    players = [tuple(names[j] for j in members) for members in grouping.groups]
-    labels = tuple(group_label(h) for h in range(grouping.g))
+    stages = _stages(grouping, schema.names)
     for i, table in enumerate(intra_tables):
-        _check_table(f"intra table {i}", table, names[i], players[label[i]])
+        _check_table(f"intra table {i}", table, schema.names[i], stages[label[i]][1])
+    labels = stages[-1][1]
     for h, table in enumerate(group_tables):
         _check_table(f"group table {h}", table, labels[h], labels)
 
@@ -513,10 +500,11 @@ def run_group_attribution(
     if grouping.n != n:
         raise DataError(f"grouping over n={grouping.n}, oracle schema has n={n}")
 
-    bits = [_coalitions(players, n) for players in _stages(grouping)]
+    stages = _stages(grouping, schema.names)
+    bits = [_coalitions(players, n) for players, _ in stages]
     priced = []
     for pack in _packs([len(b) for b in bits]):
-        priced += _price_batch(oracle, grouping, [(k, bits[k]) for k in pack], instances, trial)
+        priced += _price_batch(oracle, [(stages[k], bits[k]) for k in pack], instances, trial)
     intra_tables: list[ShapleyTable | None] = [None] * n
     for members, tables in zip(grouping.groups, priced):
         for i, table in zip(members, tables):

@@ -10,6 +10,7 @@ import pytest
 
 import kpshap
 from kpshap import (
+    EraseRect,
     ErasePlan,
     RunManifest,
     default_schema,
@@ -428,6 +429,17 @@ def test_masks_csv_on_stdout(capsys):
     assert [row.split(",")[0] for row in lines[1:]] == ["0", "1", "2"]
 
 
+@pytest.mark.parametrize("scale", ["nan", "inf", "1e300"])
+def test_masks_refuse_a_scale_without_a_finite_side(capsys, scale):
+    argv = ["masks", "--keypoint", "50,60", "--scale", scale, "--width", "128", "--height", "96"]
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert err == (
+        f"error(data): base_scale {float(scale)} gives a mask side that is not a finite number\n"
+    )
+    assert out == ""
+
+
 # --- artifact-producing pipeline ---------------------------------------------------
 
 
@@ -545,6 +557,7 @@ def test_gkr_plan_apply_stats_roundtrip(capsys, fixtures_dir, tmp_path):
     assert "planned 2 persons" in stdout
     assert (tmp_path / "plans.jsonl.manifest.json").exists()
 
+    sources = {str(images / name): sha256_file(images / name) for name in ["a.ppm", "b.ppm"]}
     erased = tmp_path / "erased"
     code, stdout, _ = run(
         capsys,
@@ -560,6 +573,7 @@ def test_gkr_plan_apply_stats_roundtrip(capsys, fixtures_dir, tmp_path):
     assert code == 0
     manifest = RunManifest.from_json(erased / "gkr-apply.manifest.json")
     assert manifest.command == "gkr apply"
+    assert {k: v for k, v in manifest.inputs.items() if k in sources} == sources
     for name in ["a.ppm", "b.ppm"]:
         before = load_image(images / name)
         after = load_image(erased / name)
@@ -573,6 +587,52 @@ def test_gkr_plan_apply_stats_roundtrip(capsys, fixtures_dir, tmp_path):
     assert stats["images"] == 2
     assert stats["persons"] == 2
     assert stats["buckets"]["0"] == 2
+
+
+def _erase_plan(tmp_path, file_name, image):
+    """A grey image at ``image`` and a plan that erases a rectangle of the
+    image named ``file_name``."""
+    save_image(image, np.full((12, 16, 3), 200, dtype=np.uint8))
+    plans = tmp_path / "plans.jsonl"
+    rect = EraseRect(0, 0, (2, 2, 8, 8), 5)
+    write_plans(plans, [ErasePlan(0, 0, file_name, 16, 12, (rect,))])
+    return str(plans)
+
+
+@pytest.mark.parametrize("where", ["parent", "absolute"])
+def test_gkr_apply_refuses_a_file_name_outside_the_directories(capsys, tmp_path, where):
+    target = tmp_path / "escaped.ppm"
+    plans = _erase_plan(tmp_path, "../escaped.ppm" if where == "parent" else str(target), target)
+    before = target.read_bytes()
+    images = tmp_path / "images"
+    images.mkdir()
+    out = str(tmp_path / "out")
+    code, _, err = run(capsys, "gkr", "apply", "--plans", plans, "--images", str(images), "--out", out)
+    assert code == 3
+    assert err.startswith("error(data): plan file_name ")
+    assert target.read_bytes() == before
+
+
+@pytest.mark.parametrize("case", ["out is images", "hard link", "symlink", "manifest"])
+def test_gkr_apply_never_writes_over_an_input(capsys, tmp_path, case):
+    images = tmp_path / "images"
+    images.mkdir()
+    plans = _erase_plan(tmp_path, "a.ppm", images / "a.ppm")
+    inputs = {p: p.read_bytes() for p in (images / "a.ppm", Path(plans))}
+    out = images if case == "out is images" else tmp_path / "out"
+    argv = ["gkr", "apply", "--plans", plans, "--images", str(images), "--out", str(out)]
+    overwritten = out / "a.ppm"
+    if case in ("hard link", "symlink"):
+        out.mkdir()
+        (os.link if case == "hard link" else os.symlink)(images / "a.ppm", overwritten)
+    elif case == "manifest":
+        argv += ["--manifest", plans]
+        overwritten = plans
+    code, _, err = run(capsys, *argv)
+    assert code == 3
+    assert err == f"error(data): gkr apply would write over its input {overwritten}\n"
+    assert {p: p.read_bytes() for p in inputs} == inputs
+    assert not (out / "gkr-apply.manifest.json").exists()
 
 
 def test_gkr_stats_accepts_mixed_type_image_ids(capsys, tmp_path):

@@ -329,19 +329,24 @@ def test_report_json_shape(schema, expected_grouping, synthetic_config):
 # --- golden reports and the budget of the stage list -------------------------
 
 
-def wide_groups_oracle():
-    """20 keypoints in groups of 9 and 11, so group means run over 8 or more
-    members; a noisy synthetic model drawn from a fixed seed."""
-    rng = np.random.default_rng(20261017)
-    names = [f"k{i}" for i in range(20)]
-    edges = [[f"k{i}", f"k{i + 1}"] for i in range(19)]
+def random_oracle(n, seed):
+    """A noisy synthetic model over n keypoints drawn from a fixed seed."""
+    rng = np.random.default_rng(seed)
+    names = [f"k{i}" for i in range(n)]
+    edges = [[f"k{i}", f"k{i + 1}"] for i in range(n - 1)]
     schema = load_schema({"names": names, "edges": edges})[0]
-    base = rng.uniform(0.5, 1.0, 20)
-    rec = rng.random((20, 20))
+    base = rng.uniform(0.5, 1.0, n)
+    rec = rng.random((n, n))
     np.fill_diagonal(rec, 0.0)
     rec /= 1.25 * rec.sum(axis=1, keepdims=True)
     config = SyntheticModelConfig(tuple(base), tuple(map(tuple, rec)), noise_sd=0.05)
-    return SyntheticOracle(config, schema), Grouping.from_sets([range(0, 9), range(9, 20)], 20)
+    return SyntheticOracle(config, schema)
+
+
+def wide_groups_oracle():
+    """20 keypoints in groups of 9 and 11, so group means run over 8 or more
+    members."""
+    return random_oracle(20, 20261017), Grouping.from_sets([range(0, 9), range(9, 20)], 20)
 
 
 @pytest.mark.parametrize(
@@ -543,24 +548,25 @@ def test_combined_attribution_refuses_a_grouping_of_another_size(
 
 
 def loop_group_means(values, groups):
-    """The per-row loop _group_means replaced: one 1-D sum per row."""
-    means = np.empty((len(values), len(groups)), dtype=np.float64)
+    """The per-row loop _group_means replaced: one 1-D sum per row. Row h
+    holds group h's means, one per row of values."""
+    means = np.empty((len(groups), len(values)), dtype=np.float64)
     for h, members in enumerate(groups):
         for m, row in enumerate(values[:, list(members)]):
-            means[m, h] = np.add.reduce(row) / len(members)
+            means[h, m] = np.add.reduce(row) / len(members)
     return means
 
 
-def loop_phi(table, n):
-    """The per-target loop _tables replaced: one np.sum per (player, target)."""
-    games = np.ascontiguousarray(table.T)
+def loop_phi(games, n):
+    """The per-target loop _tables replaced: one np.sum per (player, target);
+    row t of games is target t's game."""
     masks = np.arange(1 << n, dtype=np.int64)
     size = np.zeros(1 << n, dtype=np.int64)
     for b in range(n):
         size += (masks >> b) & 1
     fact = [math.factorial(k) for k in range(n + 1)]
     weight = np.array([fact[k] * fact[n - 1 - k] / fact[n] for k in range(n)])
-    phi = np.empty((table.shape[1], n), dtype=np.float64)
+    phi = np.empty((len(games), n), dtype=np.float64)
     for j in range(n):
         without = masks[(masks >> j) & 1 == 0]
         weighted = weight[size[without]] * (games[:, without | (1 << j)] - games[:, without])
@@ -634,11 +640,11 @@ def test_group_means_match_the_row_loop(rows, sizes, data):
 @given(st.integers(1, 12), st.integers(1, 20), st.integers(0, 2**32 - 1))
 @settings(max_examples=60, deadline=None)
 def test_tables_match_the_per_target_loop(n, t, seed):
-    table = uneven(np.random.default_rng(seed), (1 << n, t))
+    games = uneven(np.random.default_rng(seed), (t, 1 << n))
     players = tuple(f"p{j}" for j in range(n))
     targets = tuple(f"t{k}" for k in range(t))
-    got = _tables(table, players, targets)
-    want = loop_phi(table, n)
+    got = _tables(games, players, targets)
+    want = loop_phi(games, n)
     assert [tab.target for tab in got] == list(targets)
     assert np.array_equal(np.array([tab.phi for tab in got]), want)
 
@@ -686,3 +692,52 @@ def test_combined_attribution_matches_the_row_loop_on_random_groupings(sizes, se
     for split_mode in ("uniform", "proportional"):
         report = combined_attribution(schema, grouping, intra, group, split_mode)
         assert np.array_equal(report.sigma, loop_sigma(grouping, intra, group, split_mode))
+
+
+# --- one pricing path against the per-stage branch it replaced ---------------
+
+
+def branch_price_stage(names, grouping, k, values):
+    """The per-stage branch that pricing every player as a keypoint set
+    replaced: a within-group stage prices its members' columns of the values
+    directly, and the group stage prices the groups' mean performance."""
+    if k < grouping.g:
+        members = list(grouping.groups[k])
+        players = tuple(names[i] for i in members)
+        return _tables(np.ascontiguousarray(values[:, members].T), players, players)
+    labels = tuple(f"group{h + 1}" for h in range(grouping.g))
+    return _tables(loop_group_means(values, grouping.groups), labels, labels)
+
+
+@pytest.mark.parametrize(
+    "groups",
+    [
+        # g = 1: one group of 10, so the group stage has a single player
+        [range(0, 10)],
+        # a one-keypoint group between groups of 8 and 12
+        [range(0, 8), [8], range(9, 21)],
+        # two one-keypoint groups and one of 11
+        [[0], [1], range(2, 13)],
+    ],
+    ids=["g1", "8-1-12", "1-1-11"],
+)
+def test_one_pricing_path_matches_the_per_stage_branch(groups):
+    n = max(max(grp) for grp in groups) + 1
+    grouping = Grouping.from_sets(groups, n)
+    oracle = random_oracle(n, n)
+    names = oracle.schema.names
+    want = [
+        branch_price_stage(names, grouping, k, oracle.eval_many("all", masks, 2))
+        for k, masks in enumerate(stage_masks(grouping))
+    ]
+    intra = [None] * n
+    for members, tables in zip(grouping.groups, want):
+        for i, table in zip(members, tables):
+            intra[i] = table
+    report, _ = run_group_attribution(oracle, grouping, trial=2)
+    assert list(report.intra_tables) == intra
+    assert list(report.group_tables) == want[-1]
+    for members in grouping.groups:
+        assert intra_group_shapley(oracle, grouping, members[-1], trial=2) == intra[members[-1]]
+    for h in range(grouping.g):
+        assert group_shapley(oracle, grouping, h, trial=2) == want[-1][h]
