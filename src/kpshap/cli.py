@@ -4,11 +4,16 @@ Every artifact-producing subcommand writes a run manifest next to its
 primary output (override with --manifest) recording argument snapshot,
 seed, schema digest, oracle identity and sha256 of all inputs and outputs.
 Exit codes: 0 ok, 2 usage, 3 schema/data error, 4 oracle error.
+
+``main(argv)`` may be called many times in one process. Every call reuses
+one parser, built on the first call, and looks up its subcommand's handler by
+name at that moment, so nothing carries over from one call to the next.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import warnings
@@ -120,8 +125,7 @@ def _parse_instances(text):
 
 
 def _manifest_args(ns) -> dict:
-    drop = {"func", "command_path"}
-    return {k: v for k, v in vars(ns).items() if k not in drop}
+    return {k: v for k, v in vars(ns).items() if k != "func"}
 
 
 def _emit_manifest(ns, command, *, inputs, outputs, seed=None, schema_pair=None, oracle=None):
@@ -420,7 +424,14 @@ def _add_manifest(p):
     )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The kpshap parser, built on the first call and shared after it.
+
+    Each subcommand stores its handler's name in ``func``, not the function:
+    ``main`` looks the name up in this module on every call, so a handler
+    rebound after the first build is the one that runs.
+    """
     parser = argparse.ArgumentParser(
         prog="kpshap",
         description="keypoint interdependency, group Shapley attribution, and "
@@ -438,7 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-delta", required=True, help="performance-drop CSV to write")
     p.add_argument("--out-pi", required=True, help="pairwise influence CSV to write")
     _add_manifest(p)
-    p.set_defaults(func=cmd_interdep)
+    p.set_defaults(func="cmd_interdep")
 
     p = sub.add_parser("cluster", help="drop CSV + skeleton -> keypoint grouping JSON")
     p.add_argument("--delta", required=True, help="performance-drop CSV")
@@ -447,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--linkage", choices=LINKAGES, default=DEFAULT_LINKAGE)
     p.add_argument("--out", required=True, help="grouping JSON to write")
     _add_manifest(p)
-    p.set_defaults(func=cmd_cluster)
+    p.set_defaults(func="cmd_cluster")
 
     p = sub.add_parser("shapley", help="oracle + grouping -> attribution report JSON")
     _add_oracle_flags(p)
@@ -458,19 +469,19 @@ def build_parser() -> argparse.ArgumentParser:
     _add_seed_jobs(p)
     p.add_argument("--out", required=True, help="attribution report JSON to write")
     _add_manifest(p)
-    p.set_defaults(func=cmd_shapley)
+    p.set_defaults(func="cmd_shapley")
 
     p = sub.add_parser("exact", help="brute-force Shapley of a scalar game table")
     p.add_argument("--game", required=True, help="coalition_hex,value CSV over all 2^n masks")
     p.add_argument("--out", default=None, help="optional result JSON")
     _add_manifest(p)
-    p.set_defaults(func=cmd_exact)
+    p.set_defaults(func="cmd_exact")
 
     p = sub.add_parser("cost", help="query budget of grouped vs exhaustive pricing")
     p.add_argument("--groups", required=True, help="comma-separated group sizes, e.g. 5,3,3,3,3")
     p.add_argument("--n", type=int, required=True, help="total keypoint count")
     p.add_argument("--trials", type=int, default=1)
-    p.set_defaults(func=cmd_cost)
+    p.set_defaults(func="cmd_cost")
 
     p = sub.add_parser("masks", help="perturbation mask geometry for one keypoint")
     p.add_argument("--keypoint", required=True, help="X,Y center")
@@ -481,7 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="optional CSV (default stdout)")
     _add_manifest(p)
-    p.set_defaults(func=cmd_masks)
+    p.set_defaults(func="cmd_masks")
 
     p = sub.add_parser("gkr", help="group-based keypoint removal")
     gkr_sub = p.add_subparsers(dest="gkr_command", required=True)
@@ -495,33 +506,33 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--seed", type=int, default=0)
     q.add_argument("--out", required=True, help="erase plans JSONL to write")
     _add_manifest(q)
-    q.set_defaults(func=cmd_gkr_plan)
+    q.set_defaults(func="cmd_gkr_plan")
 
     q = gkr_sub.add_parser("apply", help="erase plans + images -> erased images")
     q.add_argument("--plans", required=True, help="erase plans JSONL")
     q.add_argument("--images", required=True, help="directory with source images")
     q.add_argument("--out", required=True, help="directory for erased images")
     _add_manifest(q)
-    q.set_defaults(func=cmd_gkr_apply)
+    q.set_defaults(func="cmd_gkr_apply")
 
     q = gkr_sub.add_parser("stats", help="occlusion-ratio buckets of an annotation file")
     q.add_argument("--annotations", required=True, help="person keypoints JSON")
     _add_schema_flag(q)
     q.add_argument("--out", default=None, help="optional JSON (default stdout)")
     _add_manifest(q)
-    q.set_defaults(func=cmd_gkr_stats)
+    q.set_defaults(func="cmd_gkr_stats")
 
     p = sub.add_parser("corr", help="confidence table CSV -> correlation matrix CSV")
     p.add_argument("--table", required=True, help="instance,<names> confidence CSV")
     p.add_argument("--out", required=True, help="correlation CSV to write")
     _add_manifest(p)
-    p.set_defaults(func=cmd_corr)
+    p.set_defaults(func="cmd_corr")
 
     p = sub.add_parser("render", help="labeled matrix CSV -> SVG heatmap")
     p.add_argument("--matrix", required=True, help="labeled square matrix CSV")
     p.add_argument("--out", required=True, help="SVG to write")
     _add_manifest(p)
-    p.set_defaults(func=cmd_render)
+    p.set_defaults(func="cmd_render")
 
     p = sub.add_parser("oracle", help="oracle process utilities")
     oracle_sub = p.add_subparsers(dest="oracle_command", required=True)
@@ -530,7 +541,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     q.add_argument("--config", required=True, help="synthetic oracle config JSON")
     _add_schema_flag(q)
-    q.set_defaults(func=cmd_oracle_serve_synthetic)
+    q.set_defaults(func="cmd_oracle_serve_synthetic")
 
     return parser
 
@@ -541,7 +552,7 @@ def main(argv=None) -> int:
     if getattr(ns, "jobs", 1) < 1:
         parser.error("--jobs must be >= 1")
     try:
-        return ns.func(ns)
+        return globals()[ns.func](ns)
     except OracleError as e:
         print(f"error({e.code}): {e}", file=sys.stderr)
         return 4

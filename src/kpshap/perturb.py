@@ -9,6 +9,7 @@ grouping.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,6 +69,8 @@ def gen_masks(
         )
     if base_scale <= 0:
         raise DataError(f"base_scale must be positive, got {base_scale}")
+    if min(w_img, h_img) > sys.float_info.max:
+        raise DataError(f"image bounds {w_img}x{h_img} are too large for a float mask side")
     side = base_scale * min(w_img, h_img)
     # a mask's longer side is at most sqrt(side^2 * area_range[1] * aspect_range[1])
     if not math.isfinite(side * side * area_range[1] * aspect_range[1]):

@@ -235,6 +235,15 @@ def _stages(grouping: Grouping, names) -> list[tuple[tuple, tuple]]:
     return stages + [(grouping.groups, tuple(group_label(h) for h in range(grouping.g)))]
 
 
+def _oracle_stages(oracle, grouping: Grouping) -> list[tuple[tuple, tuple]]:
+    """``_stages`` labelled by the oracle's keypoint names, refusing a
+    grouping over another keypoint count before any oracle call."""
+    n = oracle.schema.n
+    if grouping.n != n:
+        raise DataError(f"grouping over n={grouping.n}, oracle schema has n={n}")
+    return _stages(grouping, oracle.schema.names)
+
+
 def _coalitions(players, n: int) -> list[int]:
     """The 2^k coalitions of a stage; bit j of a coalition's index shows
     players[j], and every keypoint outside the players stays visible."""
@@ -304,8 +313,9 @@ def intra_group_shapley(
     The conditional game keeps every out-of-group keypoint visible and varies
     only the group members, reading off the target's performance component.
     """
+    stages = _oracle_stages(oracle, grouping)
     k = grouping.group_of(target)
-    stage = _stages(grouping, oracle.schema.names)[k]
+    stage = stages[k]
     tables = _price_batch(oracle, [(stage, _coalitions(stage[0], grouping.n))], instances, trial)
     return tables[0][grouping.groups[k].index(target)]
 
@@ -324,7 +334,7 @@ def group_shapley(
     """
     if not 0 <= target_group < grouping.g:
         raise DataError(f"target group {target_group} out of range")
-    stage = _stages(grouping, oracle.schema.names)[-1]
+    stage = _oracle_stages(oracle, grouping)[-1]
     tables = _price_batch(oracle, [(stage, _coalitions(stage[0], grouping.n))], instances, trial)
     return tables[0][target_group]
 
@@ -495,12 +505,8 @@ def run_group_attribution(
     exactly; distinct coalitions are the size of the stages' union. Small
     consecutive stages share one batch (``_packs``).
     """
-    schema = oracle.schema
-    n = schema.n
-    if grouping.n != n:
-        raise DataError(f"grouping over n={grouping.n}, oracle schema has n={n}")
-
-    stages = _stages(grouping, schema.names)
+    stages = _oracle_stages(oracle, grouping)
+    schema, n = oracle.schema, grouping.n
     bits = [_coalitions(players, n) for players, _ in stages]
     priced = []
     for pack in _packs([len(b) for b in bits]):

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -22,6 +23,7 @@ from kpshap import (
     write_matrix_csv,
     write_plans,
 )
+from kpshap import cli
 from kpshap.cli import main
 
 
@@ -440,6 +442,15 @@ def test_masks_refuse_a_scale_without_a_finite_side(capsys, scale):
     assert out == ""
 
 
+def test_masks_refuse_bounds_beyond_a_float(capsys):
+    huge = str(10**400)
+    argv = ["masks", "--keypoint", "5,5", "--width", huge, "--height", huge]
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert err == f"error(data): image bounds {huge}x{huge} are too large for a float mask side\n"
+    assert out == ""
+
+
 # --- artifact-producing pipeline ---------------------------------------------------
 
 
@@ -683,3 +694,72 @@ def test_render_is_byte_deterministic(capsys, tmp_path):
         assert code == 0
     assert svg1.read_bytes() == svg2.read_bytes()
     assert svg1.read_text().startswith("<svg ")
+
+
+# --- one parser per process -------------------------------------------------------
+
+
+def test_main_builds_one_parser_for_many_calls(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def spy(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self.prog)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+    cli.build_parser.cache_clear()
+    for _ in range(3):
+        assert run(capsys, "cost", "--groups", "5,3,3,3,3", "--n", "17")[0] == 0
+    assert built.count("kpshap") == 1
+
+
+def test_main_runs_a_handler_rebound_after_the_first_call(capsys, monkeypatch):
+    assert run(capsys, "cost", "--groups", "17", "--n", "17")[0] == 0
+    seen = []
+    monkeypatch.setattr(cli, "cmd_gkr_stats", lambda ns: seen.append(ns.annotations) or 7)
+    assert run(capsys, "gkr", "stats", "--annotations", "persons.json")[0] == 7
+    assert seen == ["persons.json"]
+
+
+def test_no_option_carries_over_to_the_next_call(capsys, fixtures_dir, tmp_path):
+    persons = _persons_json(tmp_path / "persons.json")
+    groups = str(fixtures_dir / "expected_groups.json")
+    plans = tmp_path / "plans.jsonl"
+    seeds = []
+    for extra in (["--seed", "9"], []):
+        argv = ["gkr", "plan", "--annotations", persons, "--groups", groups, "--out", str(plans)]
+        assert run(capsys, *argv, *extra)[0] == 0
+        seeds.append(RunManifest.from_json(f"{plans}.manifest.json").seed)
+    assert seeds == [9, 0]
+
+    images = tmp_path / "images"
+    images.mkdir()
+    save_image(images / "a.ppm", np.zeros((48, 64, 3), dtype=np.uint8))
+    out = tmp_path / "out"
+    argv = ["gkr", "apply", "--plans", str(plans), "--images", str(images), "--out", str(out)]
+    chosen = tmp_path / "chosen.manifest.json"
+    assert run(capsys, *argv, "--manifest", str(chosen))[0] == 0
+    assert chosen.exists() and not (out / "gkr-apply.manifest.json").exists()
+    assert run(capsys, *argv)[0] == 0
+    assert (out / "gkr-apply.manifest.json").exists()
+
+
+@pytest.mark.parametrize("case", ["frobnicate", "interdep --jobs 0"])
+def test_usage_errors_read_the_same_after_a_successful_call(capsys, fixtures_dir, tmp_path, case):
+    argv = ["frobnicate"]
+    if case != "frobnicate":
+        argv = ["interdep", "--synthetic", str(fixtures_dir / "synthetic17.json"), "--jobs", "0"]
+        argv += ["--out-delta", str(tmp_path / "d.csv"), "--out-pi", str(tmp_path / "pi.csv")]
+
+    def usage_error():
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        return capsys.readouterr()
+
+    cli.build_parser.cache_clear()
+    fresh = usage_error()
+    assert fresh.err.startswith("usage: kpshap ")
+    assert run(capsys, "cost", "--groups", "17", "--n", "17")[0] == 0
+    assert usage_error() == fresh

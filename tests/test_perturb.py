@@ -33,6 +33,17 @@ def test_masks_deterministic():
     assert len(a) == 6
 
 
+@pytest.mark.parametrize("bounds", [(10**400, 10**400), (10**400, 10**309)])
+def test_masks_refuse_bounds_beyond_a_float(bounds):
+    with pytest.raises(DataError, match=r"^image bounds 10+x10+ are too large for a float mask side$"):
+        gen_masks((5.0, 5.0), 1, 0.15, bounds, seed=0)
+
+
+def test_masks_keep_a_huge_side_when_the_other_is_small():
+    (spec,) = gen_masks((5.0, 5.0), 1, 0.15, (10**400, 20), seed=0)
+    assert spec.rect[2] <= 10**400 and spec.rect[3] <= 20
+
+
 def test_masks_change_with_seed():
     a = gen_masks((50.0, 40.0), 6, 0.15, (128, 96), seed=3)
     b = gen_masks((50.0, 40.0), 6, 0.15, (128, 96), seed=4)

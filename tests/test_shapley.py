@@ -544,6 +544,26 @@ def test_combined_attribution_refuses_a_grouping_of_another_size(
         combined_attribution(schema, smaller, intra, groups)
 
 
+@pytest.mark.parametrize("n", [16, 20])
+@pytest.mark.parametrize(
+    "price",
+    [
+        lambda oracle, grouping: intra_group_shapley(oracle, grouping, 0),
+        lambda oracle, grouping: group_shapley(oracle, grouping, 0),
+        run_group_attribution,
+    ],
+    ids=["intra", "group", "run"],
+)
+def test_pricing_refuses_a_grouping_of_another_size_before_any_call(
+    schema, synthetic_config, n, price
+):
+    oracle = RecordingOracle(SyntheticOracle(synthetic_config, schema))
+    grouping = Grouping.from_sets([range(0, n // 2), range(n // 2, n)], n)
+    with pytest.raises(DataError, match=rf"^grouping over n={n}, oracle schema has n=17$"):
+        price(oracle, grouping)
+    assert oracle.batches == []
+
+
 # --- whole-array reductions against the loops they replaced ------------------
 
 
