@@ -309,12 +309,13 @@ def cmd_gkr_plan(ns) -> int:
     return 0
 
 
-def _plan_image(root: Path, file_name: str) -> Path:
-    """root / file_name, refusing a plan's file name that could leave root."""
+def _plan_name(file_name: str) -> PurePath:
+    """A plan's file name, normalized ("./a.png" and "a.png" name one image),
+    refusing one that could leave the image and output directories."""
     name = PurePath(file_name)
     if name.is_absolute() or ".." in name.parts:
         raise DataError(f"plan file_name {file_name!r} must be relative and without '..'")
-    return root / name
+    return name
 
 
 def _file_id(path):
@@ -331,15 +332,12 @@ def cmd_gkr_apply(ns) -> int:
     plans = read_plans(ns.plans)
     images_dir = Path(ns.images)
     out_dir = Path(ns.out)
-    by_file: dict[str, list] = {}
+    by_file: dict[PurePath, list] = {}
     for plan in plans:
-        by_file.setdefault(plan.file_name, []).append(plan)
+        by_file.setdefault(_plan_name(plan.file_name), []).append(plan)
     if not by_file:
         raise DataError(f"no plans in {ns.plans}")
-    files = [
-        (_plan_image(images_dir, name), _plan_image(out_dir, name), file_plans)
-        for name, file_plans in by_file.items()
-    ]
+    files = [(images_dir / name, out_dir / name, file_plans) for name, file_plans in by_file.items()]
     if ns.manifest is None:
         ns.manifest = str(out_dir / "gkr-apply.manifest.json")
     inputs = [ns.plans, *(str(src) for src, _, _ in files)]

@@ -7,18 +7,20 @@ writes and what pose datasets typically provide after conversion.
 
 PNG decoding undoes the five row filters of W3C PNG (Third Edition) §9 as
 one anti-diagonal wavefront, with no per-byte Python loop. Pixel (y, x) is
-predicted from (y, x-1), (y-1, x) and (y-1, x-1) only, so once diagonal
-x + y = t - 1 is decoded, every pixel of diagonal t can be decoded at once:
-h + w - 1 numpy steps per image (447 at 256x192), whatever the filters.
-Sub, Up and None are the Paeth predictor with some of its inputs zeroed, so
-each step runs Paeth once on per-row masked inputs and Avg replaces it on
-its rows. The bytes are decoded in place in one uint8 buffer that stores
-the image skewed, one diagonal per row and indexed along the image's
-shorter side, so that each diagonal is one contiguous slice. The buffer
-holds (h + w + 1) * (min(h, w) + 1) bytes per channel: 1.76x the image at
-256x192, 2x at 4096x1. Decoding a 256x192 RGB crop takes about 13 ms, where
-a per-byte Python loop took 43 ms (one core of a 2-vCPU x86-64 VM, numpy
-2.4, Python 3.11).
+predicted from a = (y, x-1), b = (y-1, x) and c = (y-1, x-1) only, so once
+diagonal x + y = t - 1 is decoded, all of diagonal t can be: h + w - 1 numpy
+steps per image (447 at 256x192). With each None row rewritten as the Sub
+row of its own byte differences, prediction minus c depends only on the
+filter, a - c and b - c. A read-only 4 x 511 x 511 uint8 table (1 MB, built
+at import in under 2 ms) holds it mod 256, so a step adds c and the entry at
+int32 index 511 b + a - 512 c + base (the row's filter offset plus 130560):
+eight numpy calls. The bytes are decoded in place in one uint8 buffer that
+holds the image skewed, one diagonal per row indexed along the shorter side,
+so each diagonal is one contiguous slice: (h + w + 1) * (min(h, w) + 1)
+bytes per channel, 1.76x the image at 256x192, 2x at 4096x1. Unfiltering a
+256x192 RGB crop takes about 7 ms, where masked Paeth and Avg per step took
+13 ms and a per-byte Python loop 43 ms (one core of a 2-vCPU x86-64 VM,
+numpy 2.4, Python 3.11).
 """
 
 from __future__ import annotations
@@ -101,13 +103,25 @@ def write_png(path, image) -> None:
     _write_bytes(path, png, "image")
 
 
-# Which neighbours each filter type passes to the Paeth predictor: rows a
-# (left), b (up) and c (up-left), columns None, Sub, Up, Avg and Paeth. Sub
-# is Paeth with b = c = 0, Up is Paeth with a = c = 0 and None is Paeth with
-# a = b = c = 0. Avg keeps a and b for (a + b) >> 1, which replaces the
-# Paeth result on its rows.
-_PAETH_INPUTS = np.array([[0, 1, 0, 1, 1], [0, 0, 1, 1, 1], [0, 0, 0, 0, 1]], dtype=np.int16)
-_AVG = 3
+def _prediction_table() -> np.ndarray:
+    """(pred - c) mod 256 at [filter - 1, b - c + 255, a - c + 255] for Sub,
+    Up, Avg and Paeth; Paeth's |p - a|, |p - b| and |p - c| are |b - c|,
+    |a - c| and |(a - c) + (b - c)|."""
+    ac = np.arange(-255, 256, dtype=np.int16)
+    table = np.empty((4, 511, 511), np.uint8)
+    # 64 values of b - c at a time keep each int16 temporary under 128 KB, so
+    # freeing it does not raise glibc's mmap threshold for the whole process
+    for lo in range(0, 511, 64):
+        bc = ac[lo : lo + 64, None]
+        pa, pb, pc = np.abs(bc), np.abs(ac), np.abs(ac + bc)
+        paeth = np.where(pa <= np.minimum(pb, pc), ac, np.where(pb <= pc, bc, 0))
+        for kind, pred in enumerate((ac, bc, (ac + bc) >> 1, paeth)):
+            table[kind, lo : lo + 64] = pred.astype(np.uint8)  # wraps mod 256
+    table.flags.writeable = False
+    return table
+
+
+_PREDICT = _prediction_table()
 
 
 def _unfilter_wavefront(rows: np.ndarray, channels: int) -> np.ndarray:
@@ -126,43 +140,34 @@ def _unfilter_wavefront(rows: np.ndarray, channels: int) -> np.ndarray:
     shorter, longer = (h, w) if by_y else (w, h)
     skew = np.zeros((h + w + 1, shorter + 1, channels), dtype=np.uint8)
     step_y, step_x = (shorter + 2, shorter + 1) if by_y else (shorter + 1, shorter + 2)
-    pixels = np.ndarray(
-        (h, w, channels),
-        np.uint8,
-        skew,
-        (2 * shorter + 3) * channels,
-        (step_y * channels, step_x * channels, 1),
-    )
-    pixels[...] = rows[:, 1:].reshape(h, w, channels)
+    strides = (step_y * channels, step_x * channels, 1)
+    pixels = np.ndarray((h, w, channels), np.uint8, skew, (2 * shorter + 3) * channels, strides)
+    raw = rows[:, 1:].reshape(h, w, channels)
+    pixels[...] = raw
+    # a None row is a Sub row of its own byte differences
+    none = kinds == 0
+    pixels[none, 1:] -= raw[none, :-1]
+    # each row's table offset, (filter - 1) * 511 * 511 + 130560 with None as Sub
+    base = kinds.astype(np.int32)
+    np.maximum(base, 1, out=base)
+    base *= 511 * 511
+    base += 130560 - 511 * 511
     # the rows of a diagonal, in order of k: y = k, or y = t - k
-    along = kinds if by_y else kinds[::-1]
-    table = np.repeat(_PAETH_INPUTS[:, :, None], channels, axis=2)
-    chunk = -1
+    along = (base if by_y else base[::-1])[:, None]
     for t in range(h + w - 1):
         lo, hi = max(0, t - longer + 1), min(t, shorter - 1) + 1
         first = lo if by_y else h - 1 - t + lo
-        # per-row masks, expanded over the channels for 2 * shorter rows at a
-        # time, so that they take memory in proportion to the skew buffer
-        if first // shorter != chunk:
-            chunk = first // shorter
-            block = along[chunk * shorter : (chunk + 2) * shorter]
-            sees = table.take(block, axis=1)
-            is_avg = np.repeat((block == _AVG)[:, None], channels, axis=1)
-        i = first - chunk * shorter
-        see_a, see_b, see_c = sees[:, i : i + hi - lo]
-        prev = skew[t + 1, lo : hi + 1].astype(np.int16)
+        prev = skew[t + 1, lo : hi + 1]
         a, b = (prev[1:], prev[:-1]) if by_y else (prev[:-1], prev[1:])
-        a = a * see_a
-        b = b * see_b
-        c = skew[t, lo:hi].astype(np.int16) * see_c
-        # p = a + b - c, so |p - a| = |b - c|, |p - b| = |a - c| and
-        # |p - c| = |(b - c) + (a - c)|
-        bc, ac = b - c, a - c
-        pa, pb, pc = np.abs(bc), np.abs(ac), np.abs(bc + ac)
-        pred = np.where(pa <= np.minimum(pb, pc), a, np.where(pb <= pc, b, c))
-        pred = np.where(is_avg[i : i + hi - lo], (a + b) >> 1, pred)
+        c = skew[t, lo:hi]
+        # 511 b + a - 512 c = 511 (b - c) + (a - c)
+        idx = np.multiply(b, 511, dtype=np.int32)
+        idx += a
+        idx -= np.multiply(c, 512, dtype=np.int32)
+        idx += along[first : first + hi - lo]
         here = skew[t + 2, lo + 1 : hi + 1]
-        np.add(here, pred, out=here, casting="unsafe")  # wraps mod 256
+        here += c  # uint8 adds wrap mod 256
+        here += _PREDICT.take(idx)
     return pixels
 
 
@@ -174,7 +179,10 @@ def read_png(path) -> np.ndarray:
     pos = 8
     ihdr = None
     idat = []
-    while pos + 8 <= len(data):
+    tag = None
+    while tag != b"IEND":
+        if pos + 8 > len(data):
+            raise DataError(f"{path}: PNG ends without an IEND chunk")
         (length,) = struct.unpack(">I", data[pos : pos + 4])
         tag = data[pos + 4 : pos + 8]
         end = pos + 12 + length
@@ -185,16 +193,14 @@ def read_png(path) -> np.ndarray:
         if zlib.crc32(payload, zlib.crc32(tag)) != crc:
             raise DataError(f"{path}: {tag!r} chunk CRC mismatch")
         pos = end
+        if (tag == b"IHDR") != (ihdr is None):  # W3C PNG §5.6
+            raise DataError(f"{path}: IHDR must be the first chunk and appear once")
         if tag == b"IHDR":
             if length != 13:
                 raise DataError(f"{path}: IHDR is {length} bytes, expected 13")
             ihdr = struct.unpack(">IIBBBBB", payload)
         elif tag == b"IDAT":
             idat.append(payload)
-        elif tag == b"IEND":
-            break
-    if ihdr is None:
-        raise DataError(f"{path}: missing IHDR")
     w, h, depth, color, compression, filtering, interlace = ihdr
     if w < 1 or h < 1:
         raise DataError(f"{path}: bad PNG size {w}x{h}")

@@ -14,6 +14,7 @@ from kpshap import (
     EraseRect,
     ErasePlan,
     RunManifest,
+    apply_plan,
     default_schema,
     load_image,
     read_matrix_csv,
@@ -644,6 +645,31 @@ def test_gkr_apply_never_writes_over_an_input(capsys, tmp_path, case):
     assert err == f"error(data): gkr apply would write over its input {overwritten}\n"
     assert {p: p.read_bytes() for p in inputs} == inputs
     assert not (out / "gkr-apply.manifest.json").exists()
+
+
+def test_gkr_apply_joins_plans_that_spell_one_image_differently(capsys, tmp_path):
+    # "a.png" and "./a.png" are one image: both plans must erase it, or the
+    # last write wins and drops the other plan's rectangle
+    images, out = tmp_path / "images", tmp_path / "out"
+    images.mkdir()
+    grey = np.full((12, 16, 3), 200, dtype=np.uint8)
+    save_image(images / "a.png", grey)
+    spellings = [("a.png", (1, 1, 5, 5)), ("./a.png", (8, 4, 14, 10))]
+    plans = [
+        ErasePlan(0, i, name, 16, 12, (EraseRect(0, 0, rect, 5 + i),))
+        for i, (name, rect) in enumerate(spellings)
+    ]
+    write_plans(tmp_path / "plans.jsonl", plans)
+    argv = ["--plans", str(tmp_path / "plans.jsonl"), "--images", str(images), "--out", str(out)]
+    code, stdout, err = run(capsys, "gkr", "apply", *argv)
+    assert code == 0, err
+    assert stdout.startswith("applied 2 plans to 1 images; ")
+    erased = load_image(out / "a.png")
+    assert np.array_equal(erased, apply_plan(apply_plan(grey, plans[0]), plans[1]))
+    for x0, y0, x1, y1 in (rect for _, rect in spellings):
+        assert not np.array_equal(erased[y0:y1, x0:x1], grey[y0:y1, x0:x1])
+    manifest = RunManifest.from_json(out / "gkr-apply.manifest.json")
+    assert list(manifest.outputs) == [str(out / "a.png")]
 
 
 def test_gkr_stats_accepts_mixed_type_image_ids(capsys, tmp_path):

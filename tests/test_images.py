@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from kpshap import (
     DataError,
+    images,
     load_image,
     read_png,
     read_ppm,
@@ -250,6 +251,23 @@ def _png_bytes(tmp_path):
             lambda png: PNG_SIGNATURE + IHDR_2X2 + struct.pack(">I", 99) + b"IDAT" + bytes(16),
             id="length-past-end",
         ),
+        # W3C PNG §5.6: IHDR comes first and only once, and IEND ends the file
+        pytest.param(
+            lambda png: PNG_SIGNATURE
+            + _chunk(b"IHDR", struct.pack(">IIBBBBB", 3, 10, 8, 2, 0, 0, 0))
+            + _chunk(b"IHDR", struct.pack(">IIBBBBB", 33, 1, 8, 2, 0, 0, 0))
+            + _chunk(b"IDAT", zlib.compress(bytes(100)))
+            + _chunk(b"IEND", b""),
+            id="second-ihdr",
+        ),
+        pytest.param(
+            lambda png: PNG_SIGNATURE
+            + _chunk(b"IDAT", zlib.compress(bytes(14)))
+            + IHDR_2X2
+            + _chunk(b"IEND", b""),
+            id="idat-before-ihdr",
+        ),
+        pytest.param(lambda png: png[:-12], id="no-iend"),
     ],
 )
 def test_png_rejects_corrupt_files(tmp_path, corrupt):
@@ -324,6 +342,15 @@ def _unfilter(kind, row, prev, bpp):
         raise DataError(f"unsupported PNG filter {kind}")
 
 
+def w3c_predictions(a, b, c):
+    """The predictions of W3C PNG §9 that `_unfilter` adds for filters 0-4,
+    one row each, on int arrays."""
+    p = a + b - c
+    pa, pb, pc = np.abs(p - a), np.abs(p - b), np.abs(p - c)
+    paeth = np.where((pa <= pb) & (pa <= pc), a, np.where(pb <= pc, b, c))
+    return np.stack(np.broadcast_arrays(0, a, b, (a + b) // 2, paeth))
+
+
 def reference_unfilter(raw, h, w, channels):
     """The per-row loop read_png used before the wavefront, RGB out."""
     stride = w * channels
@@ -373,6 +400,35 @@ def test_png_decode_matches_reference_loop(tmp_path_factory, h, w, alpha, seed):
     got = read_png(path)
     assert got.shape == (h, w, 3) and got.dtype == np.uint8 and got.flags.c_contiguous
     assert np.array_equal(got, reference_unfilter(raw, h, w, channels))
+
+
+def test_prediction_table_matches_w3c_on_every_byte_triple():
+    # the decoder adds c and the table entry at 511 b + a - 512 c + the row's
+    # offset, after rewriting each None row as the Sub row of its own byte
+    # differences, so a None row's table prediction is the Sub one minus a
+    byte = np.arange(256, dtype=np.int32)
+    b, c = (v.ravel() for v in np.meshgrid(byte, byte, indexing="ij"))
+    kind_offset = np.array([0, 0, 1, 2, 3], dtype=np.int32)[:, None] * 511 * 511 + 130560
+    index = kind_offset + 511 * b - 512 * c
+    is_none = np.array([1, 0, 0, 0, 0], dtype=np.int32)[:, None]
+    wrong = []
+    for a in range(256):
+        got = c + images._PREDICT.take(index + a) - is_none * a
+        if not np.array_equal(got & 0xFF, w3c_predictions(a, b, c) & 0xFF):
+            wrong.append(a)
+    assert wrong == []
+
+
+def test_png_decodes_a_crop_with_runs_of_every_filter(tmp_path):
+    # a 256x192 crop whose filter runs put None rows right after Paeth and
+    # Avg rows, so the None rewrite meets every neighbour kind
+    runs = [(4, 9), (0, 2), (3, 5), (0, 1), (2, 7), (1, 4), (4, 3), (3, 2), (0, 3), (1, 2), (2, 2)]
+    kinds = np.resize(np.repeat(*zip(*runs)), 192)
+    assert set(kinds) == {0, 1, 2, 3, 4}
+    raw = _random_raw(np.random.default_rng(17), 192, 256, 3, kinds)
+    path = tmp_path / "crop.png"
+    path.write_bytes(_png_from_raw(raw, 192, 256))
+    assert np.array_equal(read_png(path), reference_unfilter(raw, 192, 256, 3))
 
 
 @pytest.mark.parametrize("h, w", [(1, 4096), (4096, 1)])
