@@ -3,7 +3,10 @@
 PPM is the bit-exact interchange format: the writer emits one canonical
 byte stream for a given array, and read(write(img)) == img always. PNG
 support covers 8-bit RGB/RGBA, non-interlaced, which is what this package
-writes and what pose datasets typically provide after conversion.
+writes and what pose datasets typically provide after conversion. The
+reader skips ancillary chunks and PLTE (a suggested palette for these
+colour types) and refuses any other critical chunk it does not know, as
+W3C PNG §5.4 requires.
 
 PNG decoding undoes the five row filters of W3C PNG (Third Edition) §9 as
 one anti-diagonal wavefront, with no per-byte Python loop. Pixel (y, x) is
@@ -12,7 +15,8 @@ diagonal x + y = t - 1 is decoded, all of diagonal t can be: h + w - 1 numpy
 steps per image (447 at 256x192). With each None row rewritten as the Sub
 row of its own byte differences, prediction minus c depends only on the
 filter, a - c and b - c. A read-only 4 x 511 x 511 uint8 table (1 MB, built
-at import in under 2 ms) holds it mod 256, so a step adds c and the entry at
+on the first decode in under 2 ms, so a process that never decodes a PNG
+does not hold it) holds it mod 256, so a step adds c and the entry at
 int32 index 511 b + a - 512 c + base (the row's filter offset plus 130560):
 eight numpy calls. The bytes are decoded in place in one uint8 buffer that
 holds the image skewed, one diagonal per row indexed along the shorter side,
@@ -25,6 +29,7 @@ numpy 2.4, Python 3.11).
 
 from __future__ import annotations
 
+import functools
 import struct
 import sys
 import zlib
@@ -103,6 +108,7 @@ def write_png(path, image) -> None:
     _write_bytes(path, png, "image")
 
 
+@functools.cache
 def _prediction_table() -> np.ndarray:
     """(pred - c) mod 256 at [filter - 1, b - c + 255, a - c + 255] for Sub,
     Up, Avg and Paeth; Paeth's |p - a|, |p - b| and |p - c| are |b - c|,
@@ -121,9 +127,6 @@ def _prediction_table() -> np.ndarray:
     return table
 
 
-_PREDICT = _prediction_table()
-
-
 def _unfilter_wavefront(rows: np.ndarray, channels: int) -> np.ndarray:
     """Undo the row filters of `rows`, a PNG's inflated h x (1 + w * channels)
     bytes with each row's filter type (0-4) first; returns an h x w x channels view.
@@ -136,6 +139,7 @@ def _unfilter_wavefront(rows: np.ndarray, channels: int) -> np.ndarray:
     h = rows.shape[0]
     w = (rows.shape[1] - 1) // channels
     kinds = rows[:, 0]
+    predict = _prediction_table()
     by_y = h <= w
     shorter, longer = (h, w) if by_y else (w, h)
     skew = np.zeros((h + w + 1, shorter + 1, channels), dtype=np.uint8)
@@ -167,7 +171,7 @@ def _unfilter_wavefront(rows: np.ndarray, channels: int) -> np.ndarray:
         idx += along[first : first + hi - lo]
         here = skew[t + 2, lo + 1 : hi + 1]
         here += c  # uint8 adds wrap mod 256
-        here += _PREDICT.take(idx)
+        here += predict.take(idx)
     return pixels
 
 
@@ -201,6 +205,8 @@ def read_png(path) -> np.ndarray:
             ihdr = struct.unpack(">IIBBBBB", payload)
         elif tag == b"IDAT":
             idat.append(payload)
+        elif not tag[0] & 0x20 and tag not in (b"PLTE", b"IEND"):  # W3C PNG §5.4
+            raise DataError(f"{path}: unknown critical PNG chunk {tag!r}")
     w, h, depth, color, compression, filtering, interlace = ihdr
     if w < 1 or h < 1:
         raise DataError(f"{path}: bad PNG size {w}x{h}")

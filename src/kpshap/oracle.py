@@ -21,7 +21,7 @@ Three backends share the interface:
 
 Wire protocol (external backend). The child prints a handshake first:
 
-    {"op": "hello", "n": 17, "names": ["nose", ...]}
+    {"op": "hello", "n": 17, "names": ["nose", ...], "replies": ["f64"]}
 
 then answers one request per line:
 
@@ -37,10 +37,20 @@ A client may send every request of a batch before it reads any reply, and
 ExternalOracle does. A server must therefore keep reading requests while it
 answers, and answer them in order, one reply line per request. It may read
 ahead and answer the requests it has buffered together, as ``serve`` does:
-one eval_many per run of buffered requests with the same instances and
-trial, and one flush per pass.
+one eval_many per run of buffered requests with the same instances,
+trial and reply form, and one flush per pass.
 The client captures the child's stderr and quotes its tail, with the exit
 code, when the child fails.
+
+The hello's optional ``replies`` lists the reply forms the child offers
+besides ``values``, which stays the default. ``serve`` offers "f64": a
+request with ``"reply": "f64"`` gets {"f64": "<16 n hex digits>"}, the
+row's n little-endian IEEE-754 binary64 values, 8 bytes each, in hex, so
+``np.frombuffer(bytes.fromhex(s), "<f8")`` reads it back bit for bit. It
+spares both ends the shortest round-trip decimal printing and parsing of
+every float. ExternalOracle asks for it only when the hello lists it, and
+reads a batch of such lines with one fromhex; ``serve`` answers a request
+for any other reply form than "values" or "f64" with an error.
 
 Environment overrides: KPSHAP_ORACLE_CMD replaces the child command line,
 KPSHAP_ORACLE_TIMEOUT (seconds) replaces the timeout. The timeout bounds each
@@ -94,6 +104,10 @@ _STDERR_TAIL = 4096
 # ExternalOracle decodes each reply line, once it is text, with this one
 # decoder; json.loads would first sniff the bytes for their encoding.
 _decode_reply = json.JSONDecoder().decode
+
+# The reply forms serve writes: "values", the default, then those a request
+# opts into with its "reply" key, which serve's hello lists.
+_REPLIES = ("values", "f64")
 
 
 @dataclass(frozen=True)
@@ -457,7 +471,8 @@ class ExternalOracle(CoalitionValueOracle):
         self._sel.register(self._proc.stdout, selectors.EVENT_READ)
         self._sel.register(self._proc.stderr, selectors.EVENT_READ)
         try:
-            (hello,) = self._exchange(b"", 1)
+            (line,) = self._exchange(b"", 1)
+            hello = self._message(line)
             if hello.get("op") != "hello":
                 raise self._fail(f"expected hello handshake, got {hello!r}")
             names = tuple(hello.get("names", ()))
@@ -467,6 +482,8 @@ class ExternalOracle(CoalitionValueOracle):
                     f"expected n={schema.n} names={schema.names}",
                     code="schema-mismatch",
                 )
+            offered = hello.get("replies")
+            self._f64 = isinstance(offered, list) and "f64" in offered
         except OracleError:
             self.close()
             raise
@@ -502,13 +519,14 @@ class ExternalOracle(CoalitionValueOracle):
     def _keep_stderr(self, chunk: bytes) -> None:
         self._stderr = (self._stderr + chunk)[-_STDERR_TAIL:]
 
-    def _exchange(self, requests: bytes, replies: int) -> list[dict]:
+    def _exchange(self, requests: bytes, replies: int) -> list[bytes]:
         """Write ``requests`` to the child and read ``replies`` reply lines,
-        as JSON objects, in one loop that also drains the child's stderr.
+        without their newlines, in one loop that also drains the child's
+        stderr.
 
         The timeout bounds each wait for progress (request bytes written or
-        reply bytes read), not the whole exchange. A timeout, a closed or
-        failed pipe or a reply that is not a JSON object ends the child.
+        reply bytes read), not the whole exchange. A timeout or a closed or
+        failed pipe ends the child.
         """
         if self._broken is not None:
             raise OracleError(
@@ -558,33 +576,45 @@ class ExternalOracle(CoalitionValueOracle):
         except OSError as e:
             raise self._fail(f"oracle pipe failed: {e}", self.timeout) from e
         *found, self._buf = b"".join(chunks).split(b"\n", replies)
-        messages = []
-        for line in found:
-            try:
-                msg = _decode_reply(line.decode())
-            except (ValueError, RecursionError):
-                raise self._fail(f"oracle sent non-JSON line: {line[:200]!r}") from None
-            if not isinstance(msg, dict):
-                raise self._fail(f"oracle sent non-object message: {line[:200]!r}")
-            messages.append(msg)
-        return messages
+        return found
+
+    def _message(self, line: bytes) -> dict:
+        """One reply line as a JSON object; any other line ends the child."""
+        try:
+            msg = _decode_reply(line.decode())
+        except (ValueError, RecursionError):
+            raise self._fail(f"oracle sent non-JSON line: {line[:200]!r}") from None
+        if not isinstance(msg, dict):
+            raise self._fail(f"oracle sent non-object message: {line[:200]!r}")
+        return msg
 
     def _eval_many(self, instances, masks: list[int], trial: int) -> np.ndarray:
         """One eval request line per mask, all written while the replies are
         read; an error reply raises once every reply is in, so the stream
-        stays in step and the oracle stays usable."""
+        stays in step and the oracle stays usable. A batch of f64 replies is
+        decoded at once; any other batch one JSON line at a time."""
         n = self.schema.n
         if not masks:
             return np.empty((0, n), dtype=np.float64)
         ids = [ALL_INSTANCES] if instances == ALL_INSTANCES else list(instances)
-        replies = self._exchange(_request_lines(ids, trial, masks).encode(), len(masks))
+        requests = _request_lines(ids, trial, masks, self._f64).encode()
+        replies = [self._message(line) for line in self._exchange(requests, len(masks))]
+        if self._f64 and all(_f64_sized(msg, n) for msg in replies):
+            try:
+                row = _hex_row("".join([msg["f64"] for msg in replies]), n * len(masks))
+                return row.reshape(-1, n)
+            except ValueError:
+                pass  # the loop below names the bad row
         for msg in replies:
             if "error" in msg:
                 raise OracleError(f"oracle reported: {msg['error']}")
-            if "values" not in msg:
+            if "values" not in msg and not (self._f64 and "f64" in msg):
                 raise OracleError(f"oracle response missing 'values': {msg!r}", code="oracle-io")
         try:
-            return np.array([msg["values"] for msg in replies], dtype=np.float64)
+            return np.array(
+                [msg["values"] if "values" in msg else _hex_row(msg["f64"], n) for msg in replies],
+                dtype=np.float64,
+            )
         except (TypeError, ValueError) as e:
             raise DataError(f"oracle sent malformed values: {e}") from None
 
@@ -612,12 +642,14 @@ class ExternalOracle(CoalitionValueOracle):
             pipe.close()
 
 
-def _request_lines(ids: list[str], trial: int, masks: list[int]) -> str:
+def _request_lines(ids: list[str], trial: int, masks: list[int], f64: bool = False) -> str:
     """The eval request lines of a batch, each byte for byte the _json_line
-    of {"op": "eval", "instances": ids, "visible": [...], "trial": trial}
-    plus a newline: one sorted-key prefix per batch, then each mask's
-    keypoint indices."""
-    head = f'{{"instances":{_json_line(ids)},"op":"eval","trial":{_json_line(trial)},"visible":['
+    of {"op": "eval", "instances": ids, "visible": [...], "trial": trial},
+    plus "reply": "f64" if ``f64``, and a newline: one sorted-key prefix per
+    batch, then each mask's keypoint indices."""
+    reply = '"reply":"f64",' if f64 else ""
+    head = f'{{"instances":{_json_line(ids)},"op":"eval",{reply}"trial":{_json_line(trial)}'
+    head += ',"visible":['
     return "".join(
         head + ",".join([str(i) for i in range(m.bit_length()) if m >> i & 1]) + "]}\n"
         for m in masks
@@ -630,14 +662,39 @@ def _values_line(row: list[float]) -> str:
     return '{"values":[' + ",".join(map(float.__repr__, row)) + "]}"
 
 
+def _f64_lines(rows: np.ndarray) -> list[str]:
+    """The {"f64": hex} reply lines of a batch's rows, sliced from the hex of
+    the whole batch's little-endian binary64 bytes."""
+    width = 16 * rows.shape[1]
+    digits = rows.astype("<f8").tobytes().hex()
+    return ['{"f64":"' + digits[i : i + width] + '"}' for i in range(0, len(digits), width)]
+
+
+def _f64_sized(msg: dict, n: int) -> bool:
+    """Whether ``msg`` is {"f64": s} with s as long as the hex of n values, so
+    that a batch of such rows can be read as one."""
+    return msg.keys() == {"f64"} and isinstance(msg["f64"], str) and len(msg["f64"]) == 16 * n
+
+
+def _hex_row(digits, n: int) -> np.ndarray:
+    """The n values of an f64 reply's hex digits; ValueError unless they
+    are exactly 16 n hex digits (bytes.fromhex alone would skip spaces)."""
+    if not isinstance(digits, str) or len(digits) != 16 * n or not digits.isalnum():
+        raise ValueError(f"f64 row {digits!r:.80} is not {16 * n} hex digits")
+    return np.frombuffer(bytes.fromhex(digits), "<f8")
+
+
 def _parse_request(raw, n: int) -> tuple:
-    """(instances, trial, mask) of one eval request line. Instance ids must
-    be strings, and the trial and keypoint indices ints, so that no request
-    is scored as one it does not spell out."""
+    """(instances, trial, reply form, mask) of one eval request line.
+    Instance ids must be strings, and the trial and keypoint indices ints,
+    so that no request is scored as one it does not spell out."""
     msg = json.loads(raw)
     if not isinstance(msg, dict) or msg.get("op") != "eval":
         raise DataError(f"unsupported request: {raw.strip()[:200]}")
     inst, visible, trial = msg["instances"], msg["visible"], msg.get("trial", 0)
+    reply = msg.get("reply", "values")
+    if reply not in _REPLIES:
+        raise DataError(f"reply {reply!r:.80} is not one of {list(_REPLIES)}")
     if not isinstance(inst, list) or any(type(i) is not str for i in inst):
         raise DataError(f"instances {inst!r:.80} is not a list of id strings")
     if not isinstance(visible, list):
@@ -654,19 +711,22 @@ def _parse_request(raw, n: int) -> tuple:
     if bad is not None:
         raise DataError(f"keypoint index {bad} out of range for n={n}")
     instances = ALL_INSTANCES if inst == [ALL_INSTANCES] else tuple(inst)
-    return instances, trial, mask
+    return instances, trial, reply, mask
 
 
-def _score(oracle: CoalitionValueOracle, instances, trial: int, masks: list[int]) -> list[str]:
-    """Reply lines to a run of requests that share instances and trial: one
-    eval_many for the whole run. If it fails, each request is scored alone,
-    so that every one gets the reply it would have had on its own."""
+def _score(oracle: CoalitionValueOracle, instances, trial: int, reply: str, masks) -> list[str]:
+    """Reply lines, in the form ``reply``, to a run of requests that share
+    instances and trial: one eval_many for the whole run. If it fails, each
+    request is scored alone, so that every one gets the reply it would have
+    had on its own."""
     try:
         rows = oracle.eval_many(instances, masks, trial)
     except Exception as e:  # a serving oracle must answer, not die
         if len(masks) == 1:
             return [_json_line({"error": str(e)})]
-        return [reply for mask in masks for reply in _score(oracle, instances, trial, [mask])]
+        return [line for mask in masks for line in _score(oracle, instances, trial, reply, [mask])]
+    if reply == "f64":
+        return _f64_lines(rows)
     # eval_many has refused non-finite values
     return [_values_line(row) for row in rows.tolist()]
 
@@ -674,7 +734,8 @@ def _score(oracle: CoalitionValueOracle, instances, trial: int, masks: list[int]
 def _answer(oracle: CoalitionValueOracle, lines) -> str:
     """The reply lines to a sequence of request lines, in request order:
     none for a blank line, an error for a malformed one, and one eval_many
-    for each run of consecutive requests with the same instances and trial."""
+    for each run of consecutive requests with the same instances, trial and
+    reply form."""
     n = oracle.schema.n
     requests = []
     for raw in lines:
@@ -685,7 +746,7 @@ def _answer(oracle: CoalitionValueOracle, lines) -> str:
         except Exception as e:  # a malformed request gets an error reply
             requests.append(e)
     replies = []
-    for key, run in itertools.groupby(requests, lambda r: r[:2] if isinstance(r, tuple) else None):
+    for key, run in itertools.groupby(requests, lambda r: r[:3] if isinstance(r, tuple) else None):
         if key is None:
             replies += [_json_line({"error": str(e)}) for e in run]
         else:
@@ -713,7 +774,9 @@ def serve(oracle: CoalitionValueOracle, infile, outfile) -> None:
     also handy for testing clients of the protocol.
     """
     n = oracle.schema.n
-    outfile.write(_json_line({"op": "hello", "n": n, "names": list(oracle.schema.names)}) + "\n")
+    names = list(oracle.schema.names)
+    hello = {"op": "hello", "n": n, "names": names, "replies": list(_REPLIES[1:])}
+    outfile.write(_json_line(hello) + "\n")
     outfile.flush()
     lines = queue.SimpleQueue()
 

@@ -10,14 +10,17 @@ from hypothesis import strategies as st
 
 from kpshap import (
     DataError,
+    ErasePlan,
     images,
     load_image,
     read_png,
     read_ppm,
     save_image,
+    write_plans,
     write_png,
     write_ppm,
 )
+from kpshap.cli import main
 
 
 def random_image(h, w, seed):
@@ -314,6 +317,44 @@ def test_png_reads_idat_split_into_many_chunks(tmp_path):
     assert np.array_equal(read_png(one), img)
 
 
+def _png_2x2_with(tmp_path, chunk):
+    """A 2x2 RGB PNG file with ``chunk`` between IHDR and IDAT, and its pixels."""
+    img = random_image(2, 2, 13)
+    idat = _chunk(b"IDAT", zlib.compress(b"".join(b"\x00" + row.tobytes() for row in img)))
+    path = tmp_path / "chunky.png"
+    path.write_bytes(PNG_SIGNATURE + IHDR_2X2 + chunk + idat + _chunk(b"IEND", b""))
+    return path, img
+
+
+def test_png_refuses_an_unknown_critical_chunk(tmp_path, capsys):
+    # W3C PNG §5.4: a decoder must report a critical chunk (upper-case first
+    # letter) that it does not know, not decode around it
+    path, _ = _png_2x2_with(tmp_path, _chunk(b"QRST", b"\x00\x01"))
+    with pytest.raises(DataError, match="unknown critical PNG chunk b'QRST'"):
+        read_png(path)
+    plans = tmp_path / "plans.jsonl"
+    write_plans(plans, [ErasePlan(0, 0, path.name, 2, 2, ())])
+    argv = ["gkr", "apply", "--plans", str(plans), "--images", str(tmp_path)]
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error(data): ") and "QRST" in err
+
+
+@pytest.mark.parametrize(
+    "chunk",
+    [
+        # a suggested palette, allowed for colour types 2 and 6
+        _chunk(b"PLTE", bytes(range(12))),
+        _chunk(b"qrST", b"private ancillary data"),
+        _chunk(b"tEXt", b"Comment\x00made by hand"),
+    ],
+    ids=["PLTE", "qrST", "tEXt"],
+)
+def test_png_skips_plte_and_ancillary_chunks(tmp_path, chunk):
+    path, img = _png_2x2_with(tmp_path, chunk)
+    assert np.array_equal(read_png(path), img)
+
+
 def _unfilter(kind, row, prev, bpp):
     """Reference: undo one row's PNG filter byte by byte (W3C PNG §9)."""
     length = len(row)
@@ -413,7 +454,7 @@ def test_prediction_table_matches_w3c_on_every_byte_triple():
     is_none = np.array([1, 0, 0, 0, 0], dtype=np.int32)[:, None]
     wrong = []
     for a in range(256):
-        got = c + images._PREDICT.take(index + a) - is_none * a
+        got = c + images._prediction_table().take(index + a) - is_none * a
         if not np.array_equal(got & 0xFF, w3c_predictions(a, b, c) & 0xFF):
             wrong.append(a)
     assert wrong == []
@@ -439,6 +480,7 @@ def test_png_thin_images_decode_in_memory_linear_in_size(tmp_path, h, w):
     raw = _random_raw(rng, h, w, 3)
     path = tmp_path / "thin.png"
     path.write_bytes(_png_from_raw(raw, h, w))
+    images._prediction_table()  # built once per process, not per image
     tracemalloc.start()
     try:
         got = read_png(path)

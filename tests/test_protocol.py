@@ -2,6 +2,8 @@
 
 import io
 import json
+import math
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -21,7 +23,7 @@ from kpshap import (
     serve,
 )
 from kpshap.errors import _json_line
-from kpshap.oracle import _answer, _request_lines, _values_line
+from kpshap.oracle import _answer, _hex_row, _request_lines, _values_line
 from tests.test_oracle import make_config, tiny_schema
 
 _ROOT = str(Path(__file__).resolve().parent.parent)
@@ -57,7 +59,7 @@ def test_serve_loop_in_memory():
     out = io.StringIO()
     serve(oracle, io.StringIO(requests + "\n"), out)
     lines = [json.loads(line) for line in out.getvalue().splitlines()]
-    assert lines[0] == {"op": "hello", "n": 3, "names": ["k0", "k1", "k2"]}
+    assert lines[0] == {"op": "hello", "n": 3, "names": ["k0", "k1", "k2"], "replies": ["f64"]}
     assert np.allclose(lines[1]["values"], [0.5, 0.6, 0.7])
     assert np.allclose(lines[2]["values"], [0.0, 0.0, 0.0])
     assert "error" in lines[3]
@@ -648,3 +650,259 @@ def test_bad_reply_lines_end_the_child(tmp_path, reply, error):
             remote.eval_many("all", [1], 0)
     finally:
         remote.close()
+
+
+# --- f64 replies ----------------------------------------------------------
+
+
+def test_serve_without_the_opt_in_replies_in_plain_values_bytes():
+    oracle = SyntheticOracle(make_config(noise=0.1), tiny_schema())
+    out = io.StringIO()
+    serve(oracle, io.StringIO(eval_line([0, 1, 2]) + "\n"), out)
+    assert out.getvalue().splitlines()[0] == (
+        '{"n":3,"names":["k0","k1","k2"],"op":"hello","replies":["f64"]}'
+    )
+    exact = SyntheticOracle(make_config(), tiny_schema())
+    assert served(exact, [eval_line([0, 1, 2]), eval_line([])]) == [
+        '{"values":[0.5,0.6,0.7]}',
+        '{"values":[0.0,0.0,0.0]}',
+    ]
+    # every request of the mixed stream, asked for "values" or not at all,
+    # gets the reply of a server that writes each row with the json module
+    explicit = [line.replace('"op": "eval"', '"op": "eval", "reply": "values"') for line in MIXED]
+    assert explicit != MIXED
+    want = reference_replies(oracle, MIXED)
+    assert served(oracle, MIXED) == want
+    assert served(oracle, explicit) == want
+
+
+class FixedRows(CoalitionValueOracle):
+    """Answers mask m with row m % len(rows) of ``rows``."""
+
+    def __init__(self, rows):
+        super().__init__(tiny_schema(len(rows[0])))
+        self.rows = np.array(rows, dtype=np.float64)
+
+    def _eval_many(self, instances, masks, trial):
+        return self.rows[[m % len(self.rows) for m in masks]]
+
+
+EDGE_VALUES = [-0.0, 5e-324, 0.0, 1.0]
+unit_floats = st.one_of(st.sampled_from(EDGE_VALUES + [0.1, 1 / 3]), st.floats(0.0, 1.0))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    # at least 3 keypoints, so that each of the up to 8 rows has its own mask
+    st.integers(3, 9).flatmap(
+        lambda n: st.lists(st.lists(unit_floats, min_size=n, max_size=n), min_size=1, max_size=8)
+    )
+)
+@example([EDGE_VALUES, EDGE_VALUES[::-1], [-0.0] * 3 + [5e-324]])
+def test_f64_replies_carry_the_bits_of_the_values_replies(rows):
+    oracle = FixedRows(rows)
+    n = oracle.schema.n
+    masks = list(range(len(rows)))
+    plain = [eval_line([k for k in range(n) if m >> k & 1]) for m in masks]
+    f64 = [json.dumps({**json.loads(line), "reply": "f64"}) for line in plain]
+    values = np.array([json.loads(r)["values"] for r in served(oracle, plain)])
+    lines = served(oracle, f64)
+    assert all(json.loads(r).keys() == {"f64"} for r in lines)
+    by_line = np.array([np.frombuffer(bytes.fromhex(json.loads(r)["f64"]), "<f8") for r in lines])
+    # as ExternalOracle reads a batch of them: one row of the joined digits
+    digits = "".join(json.loads(r)["f64"] for r in lines)
+    by_batch = _hex_row(digits, n * len(lines)).reshape(-1, n)
+    want = np.array(rows, dtype=np.float64).view(np.uint64)
+    for got in (values, by_line, by_batch):
+        assert got.shape == want.shape and np.array_equal(got.view(np.uint64), want)
+
+
+@pytest.mark.parametrize("reply", ['"f32"', '"F64"', '["f64"]', "null", "64"])
+def test_serve_answers_an_unknown_reply_form_with_an_error(reply):
+    oracle = SyntheticOracle(make_config(), tiny_schema())
+    bad = '{"instances":["all"],"op":"eval","reply":%s,"trial":0,"visible":[0]}' % reply
+    replies = [json.loads(r) for r in served(oracle, [eval_line([1]), bad, eval_line([2])])]
+    assert list(replies[1]) == ["error"] and "reply" in replies[1]["error"]
+    assert [r["values"] for r in replies[::2]] == oracle.eval_many("all", [2, 4], 0).tolist()
+
+
+def test_serve_answers_each_request_in_the_form_it_asks_for():
+    oracle = SyntheticOracle(make_config(noise=0.1), tiny_schema())
+    forms = ["f64", None, "values", "f64", "f64", None]
+    lines = []
+    for m, form in enumerate(forms):
+        msg = json.loads(eval_line([k for k in range(3) if m >> k & 1], trial=1))
+        lines.append(json.dumps(msg if form is None else {**msg, "reply": form}))
+    alone = [reply for line in lines for reply in served(oracle, [line])]
+    assert served(oracle, lines) == alone
+    assert [list(json.loads(r)) for r in alone] == [["f64" if f == "f64" else "values"] for f in forms]
+    # a request without "reply" and one with "reply": "values" share a batch
+    recorder = RecordingOracle(oracle)
+    _answer(recorder, lines)
+    assert [b[2] for b in recorder.batches] == [[0], [1, 2], [3, 4], [5]]
+
+
+# A scripted 3-keypoint child that logs each request line to LOG and answers
+# 1.0 for each visible keypoint, as compact f64 if the request asks for it
+# and as values otherwise, unless ACT acts first. EXTRA joins its hello.
+LOGGING_CHILD = """\
+import json, struct, sys
+hello = {{"op": "hello", "n": 3, "names": ["k0", "k1", "k2"], **{extra!r}}}
+sys.stdout.write(json.dumps(hello) + "\\n")
+sys.stdout.flush()
+log = open({log!r}, "a")
+for count, line in enumerate(sys.stdin):
+    log.write(line)
+    log.flush()
+    visible = json.loads(line)["visible"]
+{act}
+    values = [1.0 if k in visible else 0.0 for k in range(3)]
+    if json.loads(line).get("reply") == "f64":
+        sys.stdout.write('{{"f64":"' + struct.pack("<3d", *values).hex() + '"}}\\n')
+    else:
+        sys.stdout.write(json.dumps({{"values": values}}) + "\\n")
+    sys.stdout.flush()
+"""
+
+
+def logging_oracle(where, extra, act="    pass"):
+    """An ExternalOracle on a LOGGING_CHILD in directory ``where``, and its log."""
+    where.mkdir()
+    script, log = where / "child.py", where / "requests.log"
+    script.write_text(LOGGING_CHILD.format(extra=extra, log=str(log), act=act))
+    return ExternalOracle([sys.executable, str(script)], tiny_schema(), timeout=10.0), log
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [{}, {"replies": []}, {"replies": ["f32"]}, {"replies": "f64"}, {"replies": None}],
+    ids=["no-replies", "empty", "other-form", "string", "null"],
+)
+def test_client_sends_plain_request_bytes_to_a_child_without_f64(tmp_path, extra):
+    masks = [7, 0, 5]
+    remote, log = logging_oracle(tmp_path / "child", extra)
+    with remote:
+        assert np.array_equal(remote.eval_many(["0", "1"], masks, 2), indicator_rows(masks))
+    assert log.read_text() == (
+        '{"instances":["0","1"],"op":"eval","trial":2,"visible":[0,1,2]}\n'
+        '{"instances":["0","1"],"op":"eval","trial":2,"visible":[]}\n'
+        '{"instances":["0","1"],"op":"eval","trial":2,"visible":[0,2]}\n'
+    )
+
+
+def test_client_opts_in_when_the_hello_offers_f64(tmp_path):
+    masks = [7, 0, 5, 2]
+    remote, log = logging_oracle(tmp_path / "child", {"replies": ["f32", "f64"]})
+    with remote:
+        assert np.array_equal(remote.eval_many("all", masks, 1), indicator_rows(masks))
+    assert log.read_text() == "".join(
+        _json_line(
+            {
+                "instances": ["all"],
+                "op": "eval",
+                "reply": "f64",
+                "trial": 1,
+                "visible": [k for k in range(3) if m >> k & 1],
+            }
+        )
+        + "\n"
+        for m in masks
+    )
+
+
+def test_client_reads_f64_and_values_replies_in_one_batch(tmp_path):
+    # a child may answer some requests of a batch in the default form, or
+    # write its f64 replies with spaces: each line is then read on its own
+    act = """\
+    if visible == [1]:
+        sys.stdout.write(json.dumps({"values": [0.0, 1.0, 0.0]}) + "\\n")
+        sys.stdout.flush()
+        continue
+    if visible == [0, 2]:
+        sys.stdout.write(json.dumps({"f64": struct.pack("<3d", 1.0, 0.0, 1.0).hex()}) + "\\n")
+        sys.stdout.flush()
+        continue"""
+    masks = [7, 2, 5, 4]
+    remote, _ = logging_oracle(tmp_path / "child", {"replies": ["f64"]}, act)
+    with remote:
+        assert np.array_equal(remote.eval_many("all", masks, 0), indicator_rows(masks))
+
+
+NAN_ROW = struct.pack("<3d", math.nan, 0.0, 0.0).hex()
+
+
+@pytest.mark.parametrize(
+    "reply",
+    [
+        '{"f64":"0000"}',
+        '{"f64":"' + "00" * 25 + '"}',
+        '{"f64":"' + "zz" * 24 + '"}',
+        '{"f64":"' + "  " + "00" * 23 + '"}',
+        # bytes.fromhex skips spaces: these 48 digits would read as 2 values
+        '{"f64":"' + " " * 16 + "00" * 16 + '"}',
+        '{"f64":"' + NAN_ROW + '"}',
+        '{"f64":"' + "ff" * 24 + '"}',
+        '{"f64":5}',
+        '{"f64":["' + "00" * 24 + '"]}',
+        # the values replies that end the same way
+        '{"values":"abc"}',
+        '{"values":[NaN,0.0,0.0]}',
+    ],
+    ids=[
+        "short", "long", "not-hex", "whitespace", "two-values", "nan", "all-ones",
+        "number", "list", "values-not-a-list", "values-nan",
+    ],
+)
+def test_malformed_f64_replies_are_data_errors_like_malformed_values(tmp_path, reply):
+    act = f"""\
+    if visible == [1]:
+        sys.stdout.write({reply!r} + "\\n")
+        sys.stdout.flush()
+        continue"""
+    remote, _ = logging_oracle(tmp_path / "child", {"replies": ["f64"]}, act)
+    with remote:
+        for masks in ([7, 2, 3], [2]):
+            with pytest.raises(DataError) as exc:
+                remote.eval_many("all", masks, 0)
+            assert type(exc.value) is DataError and exc.value.code == "data"
+        # the stream stayed in step: the next batch gets its own replies
+        assert np.array_equal(remote.eval_many("all", [3, 4], 0), indicator_rows([3, 4]))
+
+
+def test_f64_rows_of_the_wrong_length_are_not_read_as_one_batch(tmp_path):
+    # a short row and a long one add up to a batch's worth of digits: each
+    # row must still be refused, not the digits shifted from one to the next
+    act = """\
+    if visible in ([1], [0, 2]):
+        digits = "00" * (23 if visible == [1] else 25)
+        sys.stdout.write('{"f64":"' + digits + '"}\\n')
+        sys.stdout.flush()
+        continue"""
+    remote, _ = logging_oracle(tmp_path / "child", {"replies": ["f64"]}, act)
+    with remote:
+        with pytest.raises(DataError, match="malformed values"):
+            remote.eval_many("all", [2, 5], 0)
+        assert np.array_equal(remote.eval_many("all", [3, 4], 0), indicator_rows([3, 4]))
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    st.lists(st.integers(0, (1 << 17) - 1), max_size=6),
+    st.one_of(st.just(["all"]), st.lists(st.text(max_size=8), min_size=1, max_size=3)),
+    st.integers(-(1 << 63), (1 << 63) - 1),
+)
+def test_f64_request_lines_are_the_json_lines(masks, ids, trial):
+    want = "".join(
+        _json_line(
+            {
+                "op": "eval",
+                "instances": ids,
+                "reply": "f64",
+                "visible": [i for i in range(17) if m >> i & 1],
+                "trial": trial,
+            }
+        )
+        + "\n"
+        for m in masks
+    )
+    assert _request_lines(ids, trial, masks, f64=True) == want
