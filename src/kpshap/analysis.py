@@ -16,12 +16,12 @@ import numpy as np
 from .errors import DataError, _csv_rows, _csv_text, _float_cells, _write_bytes, _write_table
 
 
-def write_matrix_csv(path, labels, matrix, corner: str = "keypoint") -> None:
+def write_matrix_csv(path, labels, matrix) -> None:
     arr = np.asarray(matrix, dtype=np.float64)
     labels = list(labels)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] != len(labels):
         raise DataError(f"matrix {arr.shape} does not match {len(labels)} labels")
-    _write_table(path, [corner] + labels, zip(labels, arr), "matrix")
+    _write_table(path, ["keypoint"] + labels, zip(labels, arr), "matrix")
 
 
 def read_matrix_csv(path) -> tuple[tuple[str, ...], np.ndarray]:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import operator
 from pathlib import Path
 
 
@@ -96,6 +97,23 @@ _LINE_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 def _json_line(doc) -> str:
     """Compact JSON for wire lines, plan lines and digests: sorted keys, no spaces."""
     return _LINE_ENCODER.encode(doc)
+
+
+def _json_int(value, what: str) -> int:
+    """A JSON integer, or an integral float such as 2.0, as an int.
+
+    A fraction, a non-finite float, a bool, a string or anything else is a
+    DataError: a count or coordinate is never truncated or parsed from text.
+    """
+    if isinstance(value, float):
+        if value.is_integer():
+            return int(value)
+    elif not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise DataError(f"{what} must be an integer, got {value!r}")
 
 
 def _json_document(source, what: str, error=DataError, io_code=None, parse_code=None):

@@ -15,7 +15,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, _json_document, _json_line, _parse_json, _read_text, _write_bytes
+from .errors import (
+    DataError,
+    _json_document,
+    _json_int,
+    _json_line,
+    _parse_json,
+    _read_text,
+    _write_bytes,
+)
 from .grouping import Grouping
 from .images import _check_rgb
 from .perturb import _centered_rect, _round_half_up
@@ -66,9 +74,10 @@ def parse_annotations(source, schema: KeypointSchema) -> list[PersonAnnotation]:
     for img in doc["images"]:
         try:
             image_id = img["id"]
-            entry = (img["file_name"], int(img["width"]), int(img["height"]))
+            width, height = _json_int(img["width"], "width"), _json_int(img["height"], "height")
+            entry = (img["file_name"], width, height)
             duplicate = image_id in images or str(image_id) in keys
-        except (KeyError, TypeError, ValueError, OverflowError) as e:
+        except (KeyError, TypeError, ValueError, OverflowError, DataError) as e:
             raise DataError(f"bad images entry {img!r}: {e}") from e
         if duplicate:
             raise DataError(f"duplicate image id {image_id!r}", code="duplicate-image")
@@ -96,10 +105,10 @@ def parse_annotations(source, schema: KeypointSchema) -> list[PersonAnnotation]:
         file_name, width, height = images[image_id]
         try:
             kps = tuple(
-                (float(flat[3 * i]), float(flat[3 * i + 1]), int(flat[3 * i + 2]))
-                for i in range(n)
+                (float(x), float(y), _json_int(v, "visibility"))
+                for x, y, v in zip(flat[0::3], flat[1::3], flat[2::3])
             )
-        except (TypeError, ValueError, OverflowError) as e:
+        except (TypeError, ValueError, OverflowError, DataError) as e:
             raise DataError(f"annotation {ann_id}: bad keypoint value: {e}") from e
         persons.append(
             PersonAnnotation(image_id, ann_id, file_name, width, height, kps)
@@ -126,20 +135,13 @@ class GkrConfig:
                 raise DataError(f"scales must be in (0, 1], got {s}")
 
 
-def default_scales(
-    grouping: Grouping,
-    schema: KeypointSchema,
-    head_scale: float = 0.05,
-    other_scale: float = 0.15,
-) -> tuple[float, ...]:
-    """Small rectangles for the face group, larger elsewhere."""
+def default_scales(grouping: Grouping, schema: KeypointSchema) -> tuple[float, ...]:
+    """Small rectangles (0.05) for the face group, larger (0.15) elsewhere."""
     try:
         nose_group = grouping.group_of(schema.index_of("nose"))
     except Exception:
         nose_group = -1
-    return tuple(
-        head_scale if k == nose_group else other_scale for k in range(grouping.g)
-    )
+    return tuple(0.05 if k == nose_group else 0.15 for k in range(grouping.g))
 
 
 @dataclass(frozen=True)
@@ -184,10 +186,10 @@ class ErasePlan:
         try:
             rects = tuple(
                 EraseRect(
-                    int(r["group"]),
-                    int(r["keypoint"]),
-                    tuple(int(v) for v in r["rect"]),
-                    int(r["fill_seed"]),
+                    _json_int(r["group"], "group"),
+                    _json_int(r["keypoint"], "keypoint"),
+                    tuple(_json_int(v, "rect") for v in r["rect"]),
+                    _json_int(r["fill_seed"], "fill_seed"),
                 )
                 for r in doc["rects"]
             )
@@ -195,11 +197,11 @@ class ErasePlan:
                 doc["image_id"],
                 doc["annotation_id"],
                 str(doc["file_name"]),
-                int(doc["width"]),
-                int(doc["height"]),
+                _json_int(doc["width"], "width"),
+                _json_int(doc["height"], "height"),
                 rects,
             )
-        except (KeyError, TypeError, ValueError, OverflowError) as e:
+        except (KeyError, TypeError, ValueError, OverflowError, DataError) as e:
             raise DataError(f"bad erase plan record: {e}") from e
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, _json_document
+from .errors import DataError, _json_document, _json_int
 from .skeleton import KeypointSchema
 
 LINKAGES = ("single", "average", "complete")
@@ -74,8 +74,8 @@ class Grouping:
         doc = _json_document(source, "grouping")
         try:
             sets = [[schema.index_of(nm) for nm in grp] for grp in doc["groups"]]
-            declared = int(doc["g"])
-        except (KeyError, TypeError, ValueError, OverflowError) as e:
+            declared = _json_int(doc["g"], "g")
+        except (KeyError, TypeError, ValueError, OverflowError, DataError) as e:
             raise DataError(f"bad grouping document: {e}") from e
         grouping = cls.from_sets(sets, schema.n)
         if grouping.g != declared:

@@ -10,10 +10,9 @@ the machine: two identical runs must produce identical manifests.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import DataError, _json_document, _json_text, _write_bytes
+from .errors import DataError, _json_text, _write_bytes
 
 TOOL_NAME = "kpshap"
 
@@ -41,53 +40,6 @@ def _plain(value):
     return str(value)
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    tool: str
-    version: str
-    command: str
-    args: dict
-    seed: int | None = None
-    schema_sha256: str | None = None
-    oracle: str | None = None
-    inputs: dict = field(default_factory=dict)
-    outputs: dict = field(default_factory=dict)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "tool": self.tool,
-            "version": self.version,
-            "command": self.command,
-            "args": _plain(self.args),
-            "seed": self.seed,
-            "schema_sha256": self.schema_sha256,
-            "oracle": self.oracle,
-            "inputs": _plain(self.inputs),
-            "outputs": _plain(self.outputs),
-        }
-
-    def to_json(self) -> str:
-        return _json_text(self.to_json_dict())
-
-    @classmethod
-    def from_json(cls, source) -> "RunManifest":
-        doc = _json_document(source, "manifest")
-        try:
-            return cls(
-                tool=doc["tool"],
-                version=doc["version"],
-                command=doc["command"],
-                args=dict(doc["args"]),
-                seed=doc.get("seed"),
-                schema_sha256=doc.get("schema_sha256"),
-                oracle=doc.get("oracle"),
-                inputs=dict(doc.get("inputs", {})),
-                outputs=dict(doc.get("outputs", {})),
-            )
-        except (KeyError, TypeError) as e:
-            raise DataError(f"bad manifest document: {e}") from e
-
-
 def build_manifest(
     version: str,
     command: str,
@@ -97,22 +49,20 @@ def build_manifest(
     oracle: str | None = None,
     input_paths=(),
     output_paths=(),
-) -> RunManifest:
-    """Digest the listed files; keys are the file names as given."""
-    inputs = {str(p): sha256_file(p) for p in input_paths}
-    outputs = {str(p): sha256_file(p) for p in output_paths}
-    return RunManifest(
-        tool=TOOL_NAME,
-        version=version,
-        command=command,
-        args=args,
-        seed=seed,
-        schema_sha256=schema_sha256,
-        oracle=oracle,
-        inputs=inputs,
-        outputs=outputs,
-    )
+) -> dict:
+    """The manifest document; file digests are keyed by the file names as given."""
+    return {
+        "tool": TOOL_NAME,
+        "version": version,
+        "command": command,
+        "args": _plain(args),
+        "seed": seed,
+        "schema_sha256": schema_sha256,
+        "oracle": oracle,
+        "inputs": {str(p): sha256_file(p) for p in input_paths},
+        "outputs": {str(p): sha256_file(p) for p in output_paths},
+    }
 
 
-def write_manifest(path, manifest: RunManifest) -> None:
-    _write_bytes(path, manifest.to_json(), "manifest")
+def write_manifest(path, manifest: dict) -> None:
+    _write_bytes(path, _json_text(manifest), "manifest")

@@ -52,10 +52,9 @@ every float. ExternalOracle asks for it only when the hello lists it, and
 reads a batch of such lines with one fromhex; ``serve`` answers a request
 for any other reply form than "values" or "f64" with an error.
 
-Environment overrides: KPSHAP_ORACLE_CMD replaces the child command line,
-KPSHAP_ORACLE_TIMEOUT (seconds) replaces the timeout. The timeout bounds each
-wait for progress on the pipes (request bytes written or reply bytes read),
-not a whole batch; it must be finite and > 0.
+The client's timeout bounds each wait for progress on the pipes (request
+bytes written or reply bytes read), not a whole batch; it must be finite
+and > 0.
 """
 
 from __future__ import annotations
@@ -265,6 +264,8 @@ class SyntheticModelConfig:
         w = np.asarray(self.recovery, dtype=np.float64)
         if w.shape != (n, n):
             raise DataError(f"recovery matrix shape {w.shape}, expected ({n}, {n})")
+        if not (np.isfinite(b).all() and np.isfinite(w).all() and math.isfinite(self.noise_sd)):
+            raise DataError("synthetic config values must be finite")
         if np.any(b <= 0.0) or np.any(b > 1.0):
             raise DataError("base values must lie in (0, 1]")
         if np.any(w < 0.0):
@@ -285,7 +286,7 @@ class SyntheticModelConfig:
                 recovery=tuple(tuple(float(v) for v in row) for row in doc["recovery"]),
                 noise_sd=float(doc.get("noise_sd", 0.0)),
             )
-        except (KeyError, TypeError, ValueError) as e:
+        except (KeyError, TypeError, ValueError, OverflowError) as e:
             raise DataError(f"bad synthetic config: {e}") from e
 
     def to_json_dict(self) -> dict:
@@ -437,20 +438,10 @@ class ExternalOracle(CoalitionValueOracle):
 
     def __init__(self, command, schema: KeypointSchema, timeout: float = 30.0):
         super().__init__(schema)
-        command = os.environ.get("KPSHAP_ORACLE_CMD", command)
-        env_timeout = os.environ.get("KPSHAP_ORACLE_TIMEOUT")
-        where = "oracle timeout"
-        if env_timeout is not None:
-            where = "KPSHAP_ORACLE_TIMEOUT"
-            try:
-                timeout = float(env_timeout)
-            except ValueError:
-                raise OracleError(
-                    f"KPSHAP_ORACLE_TIMEOUT={env_timeout!r} is not a number", code="oracle-io"
-                ) from None
         if not (math.isfinite(timeout) and timeout > 0):
             raise OracleError(
-                f"{where} must be a finite number of seconds > 0, got {timeout}", code="oracle-io"
+                f"oracle timeout must be a finite number of seconds > 0, got {timeout}",
+                code="oracle-io",
             )
         argv = shlex.split(command) if isinstance(command, str) else list(command)
         if not argv:

@@ -19,6 +19,9 @@ from .oracle import CoalitionValueOracle
 from .rng import generator, mix64
 from .skeleton import KeypointSchema, canonical_name
 
+_AREA_RANGE = (0.5, 1.5)
+_ASPECT_RANGE = (0.5, 2.0)
+
 
 def _round_half_up(v: float) -> int:
     return int(math.floor(v + 0.5))
@@ -51,13 +54,11 @@ def gen_masks(
     base_scale: float,
     bounds: tuple[int, int],
     seed: int,
-    area_range: tuple[float, float] = (0.5, 1.5),
-    aspect_range: tuple[float, float] = (0.5, 2.0),
 ) -> list[MaskSpec]:
     """m noise masks centered at a keypoint, clipped to the image.
 
-    Nominal side = base_scale * min(W, H). Mask area is an area_range-uniform
-    multiple of side^2 and the aspect ratio is log-uniform in aspect_range.
+    Nominal side = base_scale * min(W, H). Mask area is a uniform multiple of
+    side^2 in [0.5, 1.5] and the aspect ratio is log-uniform in [0.5, 2].
     """
     x, y = float(keypoint[0]), float(keypoint[1])
     w_img, h_img = bounds
@@ -72,15 +73,15 @@ def gen_masks(
     if min(w_img, h_img) > sys.float_info.max:
         raise DataError(f"image bounds {w_img}x{h_img} are too large for a float mask side")
     side = base_scale * min(w_img, h_img)
-    # a mask's longer side is at most sqrt(side^2 * area_range[1] * aspect_range[1])
-    if not math.isfinite(side * side * area_range[1] * aspect_range[1]):
+    # a mask's longer side is at most sqrt(side^2 * _AREA_RANGE[1] * _ASPECT_RANGE[1])
+    if not math.isfinite(side * side * _AREA_RANGE[1] * _ASPECT_RANGE[1]):
         raise DataError(f"base_scale {base_scale} gives a mask side that is not a finite number")
     side2 = side**2
     rng = generator("masks", seed)
     masks = []
     for _ in range(m):
-        area = rng.uniform(*area_range) * side2
-        aspect = math.exp(rng.uniform(math.log(aspect_range[0]), math.log(aspect_range[1])))
+        area = rng.uniform(*_AREA_RANGE) * side2
+        aspect = math.exp(rng.uniform(math.log(_ASPECT_RANGE[0]), math.log(_ASPECT_RANGE[1])))
         w = max(1, _round_half_up(math.sqrt(area * aspect)))
         h = max(1, _round_half_up(math.sqrt(area / aspect)))
         rect = _centered_rect(x, y, w, h, w_img, h_img)

@@ -151,20 +151,15 @@ def _tables(games: np.ndarray, players, targets) -> list[ShapleyTable]:
     ]
 
 
-def exact_shapley(values, players=None, target: str = "") -> ShapleyTable:
+def exact_shapley(values) -> ShapleyTable:
     """Exact Shapley values of a scalar coalition game.
 
     ``values`` holds the game's 2^n coalition values, indexed by the bitmask
-    over n players. Marginal gains are weighted by the classic
-    |S|! (n-|S|-1)! / n! coefficients.
+    over n players, labelled p0, p1, ...; the target is "". Marginal gains
+    are weighted by the classic |S|! (n-|S|-1)! / n! coefficients.
     """
     table, n = _game_table(values, "game")
-    if players is None:
-        players = tuple(f"p{i}" for i in range(n))
-    players = tuple(players)
-    if len(players) != n:
-        raise DataError(f"{len(players)} player labels for n={n}")
-    return _tables(table[None, :], players, (target,))[0]
+    return _tables(table[None, :], tuple(f"p{i}" for i in range(n)), ("",))[0]
 
 
 def read_game_csv(path) -> np.ndarray:

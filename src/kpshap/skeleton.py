@@ -96,14 +96,18 @@ def load_schema(source) -> tuple[KeypointSchema, Skeleton]:
     Alias spellings are resolved before anything else looks at the names.
     """
     doc = _json_document(source, "schema", SchemaError, "schema-io", "schema-parse")
-    if not isinstance(doc, dict) or "names" not in doc or "edges" not in doc:
-        raise SchemaError("schema document must have 'names' and 'edges'", code="schema-parse")
+    if not isinstance(doc, dict) or not all(
+        isinstance(doc.get(key), (list, tuple)) for key in ("names", "edges")
+    ):
+        raise SchemaError(
+            "schema document must have 'names' and 'edges' lists", code="schema-parse"
+        )
 
     names = tuple(canonical_name(str(nm)) for nm in doc["names"])
     schema = KeypointSchema(names)
     edges = set()
     for pair in doc["edges"]:
-        if len(pair) != 2:
+        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
             raise SchemaError(f"edge {pair!r} must have two endpoints", code="schema-parse")
         a, b = (schema.index_of(str(p)) for p in pair)
         if a == b:

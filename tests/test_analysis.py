@@ -34,11 +34,11 @@ def test_matrix_csv_roundtrip(tmp_path):
     labels = ("a", "b", "c")
     m = np.array([[0.0, 1.5, -2.0], [1.5, 0.0, 0.25], [-2.0, 0.25, 0.0]])
     path = tmp_path / "m.csv"
-    write_matrix_csv(path, labels, m, corner="pair")
+    write_matrix_csv(path, labels, m)
     got_labels, got = read_matrix_csv(path)
     assert got_labels == labels
     assert np.array_equal(got, m)
-    assert path.read_text().startswith("pair,a,b,c\n")
+    assert path.read_text().startswith("keypoint,a,b,c\n")
 
 
 def test_matrix_csv_rejects_duplicate_columns(tmp_path):

@@ -151,39 +151,6 @@ def test_external_oracle_dead_child():
         ExternalOracle(cmd, schema, timeout=5.0)
 
 
-def test_env_var_overrides_command(monkeypatch):
-    schema = tiny_schema()
-    monkeypatch.setenv("KPSHAP_ORACLE_CMD", SERVE_3KP)
-    with ExternalOracle("definitely-not-a-real-command", schema) as remote:
-        assert np.allclose(remote.eval("all", Coalition(0b111, 3)), [0.5, 0.6, 0.7])
-
-
-def test_env_var_overrides_timeout(monkeypatch):
-    schema = tiny_schema()
-    monkeypatch.setenv("KPSHAP_ORACLE_TIMEOUT", "0.25")
-    cmd = (
-        f'{sys.executable} -c "'
-        "import json, sys, time; "
-        "sys.stdout.write(json.dumps({'op': 'hello', 'n': 3, 'names': ['k0', 'k1', 'k2']}) + chr(10)); "
-        "sys.stdout.flush(); "
-        'time.sleep(30)"'
-    )
-    oracle = ExternalOracle(cmd, schema, timeout=60.0)
-    try:
-        assert oracle.timeout == 0.25
-        with pytest.raises(OracleError):
-            oracle.eval("all", Coalition(0b111, 3))
-    finally:
-        oracle.close()
-
-
-def test_env_var_bad_timeout(monkeypatch):
-    schema = tiny_schema()
-    monkeypatch.setenv("KPSHAP_ORACLE_TIMEOUT", "soon")
-    with pytest.raises(OracleError):
-        ExternalOracle(SERVE_3KP, schema)
-
-
 def test_cli_serve_synthetic_handshake(fixtures_dir):
     with subprocess.Popen(
         [

@@ -20,6 +20,7 @@ from kpshap import (
     DataError,
     Grouping,
     SchemaError,
+    SyntheticModelConfig,
     default_schema,
     exact_shapley,
     load_schema,
@@ -59,6 +60,15 @@ PLAN_LINE = (
     b'{"annotation_id":1,"file_name":"a.png","height":4,"image_id":1,'
     b'"rects":[{"fill_seed":1,"group":0,"keypoint":0,"rect":[0,0,1,1]}],"width":4}\n'
 )
+SCHEMA_DOC = {"names": ["a", "b"], "edges": [["a", "b"]]}
+SYNTHETIC = {"base": [0.5, 0.5], "recovery": [[0, 0.5], [0.5, 0]], "noise_sd": 0.0}
+# five groups that cover SCHEMA, so only the declared count can be wrong
+GROUPS = [list(SCHEMA.names[a:b]) for a, b in [(0, 5), (5, 9), (9, 13), (13, 15), (15, 17)]]
+
+
+def json_doc(doc, **fields) -> bytes:
+    return json.dumps({**doc, **fields}).encode()
+
 
 # reader, and well-formed starts of its format that the fuzz bytes follow
 READERS = {
@@ -82,6 +92,11 @@ READERS = {
     "Grouping.from_json": (
         lambda path: Grouping.from_json(path, SCHEMA),
         [b'{"g": 1, "groups": [', b'{"g": "'],
+    ),
+    "load_schema": (load_schema, [b'{"names": [', b'{"names": ["a", "b"], "edges": [[']),
+    "SyntheticModelConfig.from_json": (
+        SyntheticModelConfig.from_json,
+        [b'{"base": [', b'{"base": [0.5, 0.5], "recovery": [[0, 0.5], ['],
     ),
 }
 
@@ -132,6 +147,27 @@ def test_csv_cell_over_field_limit_is_data_error(tmp_path, name):
             "parse_annotations",
             annotations_doc(annotation={**ANNOTATION, "keypoints": ["x"] * 3 * SCHEMA.n}),
         ),
+        ("load_schema", json_doc(SCHEMA_DOC, names=5)),
+        ("load_schema", json_doc(SCHEMA_DOC, edges=3)),
+        ("load_schema", json_doc(SCHEMA_DOC, edges=[5])),
+        ("SyntheticModelConfig.from_json", json_doc(SYNTHETIC, base=[10**400, 0.5])),
+        ("SyntheticModelConfig.from_json", json_doc(SYNTHETIC, base=[float("nan"), 0.5])),
+        (
+            "SyntheticModelConfig.from_json",
+            json_doc(SYNTHETIC, recovery=[[0, float("nan")], [0.5, 0]]),
+        ),
+        ("SyntheticModelConfig.from_json", json_doc(SYNTHETIC, noise_sd=float("nan"))),
+        ("SyntheticModelConfig.from_json", json_doc(SYNTHETIC, noise_sd=float("inf"))),
+        ("read_plans", PLAN_LINE.replace(b"[0,0,1,1]", b"[0.9,0,5.5,5]")),
+        ("read_plans", PLAN_LINE.replace(b'"fill_seed":1', b'"fill_seed":1.5')),
+        ("read_plans", PLAN_LINE.replace(b'"keypoint":0', b'"keypoint":"3"')),
+        ("parse_annotations", annotations_doc({**IMAGE, "width": 64.9})),
+        (
+            "parse_annotations",
+            annotations_doc(annotation={**ANNOTATION, "keypoints": [1, 1, 2.7] * SCHEMA.n}),
+        ),
+        ("Grouping.from_json", json_doc({"groups": GROUPS}, g=5.7)),
+        ("Grouping.from_json", json_doc({"groups": GROUPS}, g="5")),
     ],
     ids=[
         "text-count",
@@ -143,17 +179,48 @@ def test_csv_cell_over_field_limit_is_data_error(tmp_path, name):
         "images-not-a-list",
         "list-image-id",
         "text-keypoint",
+        "schema-names-not-a-list",
+        "schema-edges-not-a-list",
+        "schema-edge-not-a-pair",
+        "synthetic-base-overflows-a-float",
+        "synthetic-nan-base",
+        "synthetic-nan-recovery",
+        "synthetic-nan-noise",
+        "synthetic-infinite-noise",
+        "fractional-rect",
+        "fractional-fill-seed",
+        "text-plan-keypoint",
+        "fractional-width",
+        "fractional-visibility",
+        "fractional-count",
+        "text-count-of-a-valid-grouping",
     ],
 )
 def test_well_formed_json_of_the_wrong_shape_is_data_error(tmp_path, name, content):
-    # valid JSON that random bytes almost never produce: a non-numeric or
-    # infinite count, an empty group, nesting deeper than the parser's stack,
-    # a field of the wrong type
+    # valid JSON that random bytes almost never produce: a non-numeric,
+    # fractional or infinite number, an empty group, nesting deeper than the
+    # parser's stack, a field of the wrong type; a schema fails as a schema
     reader, _ = READERS[name]
     path = tmp_path / "input"
     path.write_bytes(content)
-    with pytest.raises(DataError):
+    with pytest.raises(SchemaError if name == "load_schema" else DataError):
         reader(path)
+
+
+def test_integral_floats_are_read_as_integers(tmp_path):
+    # 2.0 is the integer 2 in JSON terms; only a fraction is refused
+    path = tmp_path / "input"
+    path.write_bytes(PLAN_LINE.replace(b"[0,0,1,1]", b"[0.0,0,1.0,1]"))
+    (plan,) = read_plans(path)
+    assert plan.rects[0].rect == (0, 0, 1, 1)
+    assert all(type(v) is int for v in plan.rects[0].rect)
+    annotation = {**ANNOTATION, "keypoints": [1, 1, 2.0] * SCHEMA.n}
+    path.write_bytes(annotations_doc({**IMAGE, "width": 4.0}, annotation))
+    (person,) = parse_annotations(path, SCHEMA)
+    assert (person.width, person.keypoints[0][2]) == (4, 2)
+    assert type(person.width) is int and type(person.keypoints[0][2]) is int
+    path.write_bytes(json_doc({"groups": GROUPS}, g=5.0))
+    assert Grouping.from_json(path, SCHEMA).g == 5
 
 
 # values with at most 10 significant digits survive the tables' .10g cells
