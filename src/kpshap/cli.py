@@ -128,6 +128,35 @@ def _manifest_args(ns) -> dict:
     return {k: v for k, v in vars(ns).items() if k != "func"}
 
 
+def _manifest_path(ns, outputs) -> str:
+    return ns.manifest if ns.manifest else str(outputs[0]) + ".manifest.json"
+
+
+def _file_key(path):
+    """Device and inode of an existing file, else its resolved path. Every
+    name of one file has one key: a symlink, a hard link, or the same
+    directory spelled twice."""
+    if not os.path.exists(path):
+        return os.path.realpath(path)
+    st = os.stat(path)
+    return st.st_dev, st.st_ino
+
+
+def _refuse_overwrite(ns, command, inputs, outputs) -> None:
+    """Called before a command's first write. Writing over an input would
+    erase what the run reads, and the manifest would then digest the erased
+    bytes as the input; two outputs on one file would keep only the last."""
+    read = {_file_key(path) for path in inputs if path}
+    written = set()
+    for path in [*outputs, _manifest_path(ns, outputs)]:
+        key = _file_key(path)
+        if key in read:
+            raise DataError(f"{command} would write over its input {path}")
+        if key in written:
+            raise DataError(f"{command} would write two outputs to {path}")
+        written.add(key)
+
+
 def _emit_manifest(ns, command, *, inputs, outputs, seed=None, schema_pair=None, oracle=None):
     digest = schema_digest(*schema_pair) if schema_pair else None
     manifest = build_manifest(
@@ -140,7 +169,7 @@ def _emit_manifest(ns, command, *, inputs, outputs, seed=None, schema_pair=None,
         input_paths=[p for p in inputs if p],
         output_paths=list(outputs),
     )
-    path = ns.manifest if ns.manifest else str(outputs[0]) + ".manifest.json"
+    path = _manifest_path(ns, outputs)
     write_manifest(path, manifest)
     return path
 
@@ -149,7 +178,9 @@ def cmd_interdep(ns) -> int:
     schema, skeleton, schema_path = _load_schema_arg(ns.schema)
     instances = _parse_instances(ns.instances)
     oracle, oracle_inputs = _open_oracle(ns, schema)
+    inputs, outputs = [schema_path, *oracle_inputs], [ns.out_delta, ns.out_pi]
     with oracle:
+        _refuse_overwrite(ns, "interdep", inputs, outputs)
         identity = oracle.describe()
         delta = delta_perf_matrix(oracle, instances=instances, m=ns.trials, seed=ns.seed)
     write_delta_csv(ns.out_delta, delta)
@@ -158,8 +189,8 @@ def cmd_interdep(ns) -> int:
     path = _emit_manifest(
         ns,
         "interdep",
-        inputs=[schema_path, *oracle_inputs],
-        outputs=[ns.out_delta, ns.out_pi],
+        inputs=inputs,
+        outputs=outputs,
         seed=ns.seed,
         schema_pair=(schema, skeleton),
         oracle=identity,
@@ -173,11 +204,13 @@ def cmd_cluster(ns) -> int:
     delta = read_delta_csv(ns.delta, schema)
     s = interdependency(perturbation_influence(delta), keypoint_connectivity(schema, skeleton))
     grouping = cluster_matrix(s, g=ns.g, linkage=ns.linkage)
+    inputs = [schema_path, ns.delta]
+    _refuse_overwrite(ns, "cluster", inputs, [ns.out])
     _write_bytes(ns.out, _json_text(grouping.to_json_dict(schema)), "grouping")
     path = _emit_manifest(
         ns,
         "cluster",
-        inputs=[schema_path, ns.delta],
+        inputs=inputs,
         outputs=[ns.out],
         schema_pair=(schema, skeleton),
     )
@@ -192,7 +225,9 @@ def cmd_shapley(ns) -> int:
     grouping = Grouping.from_json(ns.groups, schema)
     instances = _parse_instances(ns.instances)
     oracle, oracle_inputs = _open_oracle(ns, schema)
+    inputs = [schema_path, ns.groups, *oracle_inputs]
     with oracle:
+        _refuse_overwrite(ns, "shapley", inputs, [ns.out])
         identity = oracle.describe()
         report, budget = run_group_attribution(
             oracle,
@@ -205,7 +240,7 @@ def cmd_shapley(ns) -> int:
     path = _emit_manifest(
         ns,
         "shapley",
-        inputs=[schema_path, ns.groups, *oracle_inputs],
+        inputs=inputs,
         outputs=[ns.out],
         seed=ns.seed,
         schema_pair=(schema, skeleton),
@@ -224,6 +259,7 @@ def cmd_exact(ns) -> int:
         print(f"{name} {phi:.10g}")
     print(f"efficiency_gap {table.efficiency_gap():.3g}")
     if ns.out:
+        _refuse_overwrite(ns, "exact", [ns.game], [ns.out])
         _write_bytes(ns.out, _json_text(table.to_json_dict()), "result")
         _emit_manifest(ns, "exact", inputs=[ns.game], outputs=[ns.out])
     return 0
@@ -265,10 +301,11 @@ def cmd_masks(ns) -> int:
         x0, y0, x1, y1 = spec.rect
         lines.append(
             f"{i},{cx:.10g},{cy:.10g},{spec.width},{spec.height},"
-            f"{x0},{y0},{x1},{y1},{spec.fill}"
+            f"{x0},{y0},{x1},{y1},noise"
         )
     text = "\n".join(lines) + "\n"
     if ns.out:
+        _refuse_overwrite(ns, "masks", [], [ns.out])
         _write_bytes(ns.out, text, "masks")
         _emit_manifest(ns, "masks", inputs=[], outputs=[ns.out], seed=ns.seed)
     else:
@@ -295,11 +332,13 @@ def cmd_gkr_plan(ns) -> int:
             seed=mix64("gkr-person", ns.seed, person.annotation_id),
         )
         plans.append(plan_gkr(person, grouping, cfg))
+    inputs = [schema_path, ns.groups, ns.annotations]
+    _refuse_overwrite(ns, "gkr plan", inputs, [ns.out])
     write_plans(ns.out, plans)
     path = _emit_manifest(
         ns,
         "gkr plan",
-        inputs=[schema_path, ns.groups, ns.annotations],
+        inputs=inputs,
         outputs=[ns.out],
         seed=ns.seed,
         schema_pair=(schema, skeleton),
@@ -318,16 +357,6 @@ def _plan_name(file_name: str) -> PurePath:
     return name
 
 
-def _file_id(path):
-    """Device and inode of an existing file, None if there is none. Every
-    name of one file has the same id: a symlink, a hard link, or the same
-    directory given twice."""
-    if not os.path.exists(path):
-        return None
-    st = os.stat(path)
-    return st.st_dev, st.st_ino
-
-
 def cmd_gkr_apply(ns) -> int:
     plans = read_plans(ns.plans)
     images_dir = Path(ns.images)
@@ -342,12 +371,7 @@ def cmd_gkr_apply(ns) -> int:
         ns.manifest = str(out_dir / "gkr-apply.manifest.json")
     inputs = [ns.plans, *(str(src) for src, _, _ in files)]
     outputs = [str(dst) for _, dst, _ in files]
-    # writing over an input would erase what the run reads, and the manifest
-    # would then digest the erased bytes as the input
-    read = {_file_id(path) for path in inputs} - {None}
-    for path in [*outputs, ns.manifest]:
-        if _file_id(path) in read:
-            raise DataError(f"gkr apply would write over its input {path}")
+    _refuse_overwrite(ns, "gkr apply", inputs, outputs)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as e:
@@ -368,6 +392,7 @@ def cmd_gkr_stats(ns) -> int:
     stats = occlusion_stats(persons)
     text = _json_text(stats)
     if ns.out:
+        _refuse_overwrite(ns, "gkr stats", [ns.schema, ns.annotations], [ns.out])
         _write_bytes(ns.out, text, "stats")
         _emit_manifest(ns, "gkr stats", inputs=[ns.annotations], outputs=[ns.out])
     else:
@@ -382,6 +407,7 @@ def cmd_corr(ns) -> int:
         result = confidence_correlation(table)
     for w in caught:
         print(f"warning: {w.message}", file=sys.stderr)
+    _refuse_overwrite(ns, "corr", [ns.table], [ns.out])
     write_matrix_csv(ns.out, list(table.names), result.matrix)
     path = _emit_manifest(ns, "corr", inputs=[ns.table], outputs=[ns.out])
     print(f"wrote {ns.out}, {path}")
@@ -390,6 +416,7 @@ def cmd_corr(ns) -> int:
 
 def cmd_render(ns) -> int:
     labels, matrix = read_matrix_csv(ns.matrix)
+    _refuse_overwrite(ns, "render", [ns.matrix], [ns.out])
     _write_bytes(ns.out, render_heatmap(matrix, labels), "heatmap")
     path = _emit_manifest(ns, "render", inputs=[ns.matrix], outputs=[ns.out])
     print(f"wrote {ns.out}, {path}")

@@ -116,6 +116,27 @@ def _json_int(value, what: str) -> int:
     raise DataError(f"{what} must be an integer, got {value!r}")
 
 
+def _json_float(value, what: str) -> float:
+    """A JSON integer or float as a float.
+
+    A bool, a string, an integer beyond a float or anything else is a
+    DataError: a coordinate or weight is never parsed from text.
+    """
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    raise DataError(f"{what} must be a number, got {value!r}")
+
+
+def _json_str(value, what: str) -> str:
+    """A JSON string; anything else is a DataError, never passed through str()."""
+    if isinstance(value, str):
+        return value
+    raise DataError(f"{what} must be a string, got {value!r}")
+
+
 def _json_document(source, what: str, error=DataError, io_code=None, parse_code=None):
     """Parse a JSON document given as a path, JSON text or a parsed object.
 

@@ -18,8 +18,10 @@ import numpy as np
 from .errors import (
     DataError,
     _json_document,
+    _json_float,
     _json_int,
     _json_line,
+    _json_str,
     _parse_json,
     _read_text,
     _write_bytes,
@@ -75,7 +77,7 @@ def parse_annotations(source, schema: KeypointSchema) -> list[PersonAnnotation]:
         try:
             image_id = img["id"]
             width, height = _json_int(img["width"], "width"), _json_int(img["height"], "height")
-            entry = (img["file_name"], width, height)
+            entry = (_json_str(img["file_name"], "file_name"), width, height)
             duplicate = image_id in images or str(image_id) in keys
         except (KeyError, TypeError, ValueError, OverflowError, DataError) as e:
             raise DataError(f"bad images entry {img!r}: {e}") from e
@@ -105,10 +107,10 @@ def parse_annotations(source, schema: KeypointSchema) -> list[PersonAnnotation]:
         file_name, width, height = images[image_id]
         try:
             kps = tuple(
-                (float(x), float(y), _json_int(v, "visibility"))
+                (_json_float(x, "x"), _json_float(y, "y"), _json_int(v, "visibility"))
                 for x, y, v in zip(flat[0::3], flat[1::3], flat[2::3])
             )
-        except (TypeError, ValueError, OverflowError, DataError) as e:
+        except DataError as e:
             raise DataError(f"annotation {ann_id}: bad keypoint value: {e}") from e
         persons.append(
             PersonAnnotation(image_id, ann_id, file_name, width, height, kps)
@@ -146,7 +148,7 @@ def default_scales(grouping: Grouping, schema: KeypointSchema) -> tuple[float, .
 
 @dataclass(frozen=True)
 class EraseRect:
-    """One planned rectangle; group < 0 marks a grouping-blind baseline draw."""
+    """One planned rectangle, on keypoint ``keypoint`` of dropped group ``group``."""
 
     group: int
     keypoint: int
@@ -196,7 +198,7 @@ class ErasePlan:
             return cls(
                 doc["image_id"],
                 doc["annotation_id"],
-                str(doc["file_name"]),
+                _json_str(doc["file_name"], "file_name"),
                 _json_int(doc["width"], "width"),
                 _json_int(doc["height"], "height"),
                 rects,
@@ -205,35 +207,15 @@ class ErasePlan:
             raise DataError(f"bad erase plan record: {e}") from e
 
 
-def _erase_rect(
-    person: PersonAnnotation, group: int, pick: int, scale: float, fill_seed: int
-) -> EraseRect:
-    """A scale-sized rectangle centred on the person's keypoint ``pick``."""
-    x, y, _ = person.keypoints[pick]
-    w = max(1, _round_half_up(person.width * scale))
-    h = max(1, _round_half_up(person.height * scale))
-    rect = _centered_rect(x, y, w, h, person.width, person.height)
-    return EraseRect(group, pick, rect, fill_seed)
-
-
-def _person_plan(person: PersonAnnotation, rects) -> ErasePlan:
-    return ErasePlan(
-        person.image_id,
-        person.annotation_id,
-        person.file_name,
-        person.width,
-        person.height,
-        tuple(rects),
-    )
-
-
 def plan_gkr(person: PersonAnnotation, grouping: Grouping, cfg: GkrConfig) -> ErasePlan:
     """One erase plan for one person.
 
     Survival draws are the first g uniforms of one stream keyed by cfg.seed,
     so which groups survive never depends on visibility; the keypoint pick
     inside an erased group uses its own per-group stream. The plan is a pure
-    function of (person, grouping, cfg).
+    function of (person, grouping, cfg). Over the one-group grouping this is
+    the grouping-blind random-erasing baseline: at most one rectangle, on a
+    labeled keypoint picked uniformly.
     """
     n = len(person.keypoints)
     if grouping.n != n:
@@ -251,39 +233,19 @@ def plan_gkr(person: PersonAnnotation, grouping: Grouping, cfg: GkrConfig) -> Er
         if not labeled:
             continue
         pick = labeled[int(generator("gkr-pick", cfg.seed, k).integers(len(labeled)))]
-        rects.append(
-            _erase_rect(person, k, pick, cfg.scales[k], mix64("gkr-fill-seed", cfg.seed, k))
-        )
-    return _person_plan(person, rects)
-
-
-@dataclass(frozen=True)
-class ReConfig:
-    """Grouping-blind random-erasing baseline: at most one rectangle."""
-
-    keep_prob: float
-    scale: float
-    seed: int = 0
-
-    def __post_init__(self):
-        if not 0.0 <= self.keep_prob <= 1.0:
-            raise DataError(f"keep_prob must be in [0, 1], got {self.keep_prob}")
-        if not 0.0 < self.scale <= 1.0:
-            raise DataError(f"scale must be in (0, 1], got {self.scale}")
-
-
-def plan_random_erasing(person: PersonAnnotation, cfg: ReConfig) -> ErasePlan:
-    """Comparison baseline: ignores groups, erases one labeled keypoint."""
-    rects = []
-    u = float(generator("re-plan", cfg.seed).random())
-    if u > cfg.keep_prob:
-        labeled = [j for j, (_, _, v) in enumerate(person.keypoints) if v > 0]
-        if labeled:
-            pick = labeled[int(generator("re-pick", cfg.seed).integers(len(labeled)))]
-            rects.append(
-                _erase_rect(person, -1, pick, cfg.scale, mix64("re-fill-seed", cfg.seed))
-            )
-    return _person_plan(person, rects)
+        x, y, _ = person.keypoints[pick]
+        w = max(1, _round_half_up(person.width * cfg.scales[k]))
+        h = max(1, _round_half_up(person.height * cfg.scales[k]))
+        rect = _centered_rect(x, y, w, h, person.width, person.height)
+        rects.append(EraseRect(k, pick, rect, mix64("gkr-fill-seed", cfg.seed, k)))
+    return ErasePlan(
+        person.image_id,
+        person.annotation_id,
+        person.file_name,
+        person.width,
+        person.height,
+        tuple(rects),
+    )
 
 
 def apply_plan(image: np.ndarray, plan: ErasePlan) -> np.ndarray:

@@ -83,6 +83,7 @@ from .errors import (
     _csv_rows,
     _float_cells,
     _json_document,
+    _json_float,
     _json_line,
     _write_table,
 )
@@ -260,10 +261,12 @@ class SyntheticModelConfig:
 
     def __post_init__(self):
         n = len(self.base)
+        if n == 0:
+            raise DataError("synthetic config has no keypoints")
+        if len(self.recovery) != n or any(len(row) != n for row in self.recovery):
+            raise DataError(f"recovery matrix is not {n}x{n}")
         b = np.asarray(self.base, dtype=np.float64)
         w = np.asarray(self.recovery, dtype=np.float64)
-        if w.shape != (n, n):
-            raise DataError(f"recovery matrix shape {w.shape}, expected ({n}, {n})")
         if not (np.isfinite(b).all() and np.isfinite(w).all() and math.isfinite(self.noise_sd)):
             raise DataError("synthetic config values must be finite")
         if np.any(b <= 0.0) or np.any(b > 1.0):
@@ -281,13 +284,14 @@ class SyntheticModelConfig:
     def from_json(cls, source) -> "SyntheticModelConfig":
         doc = _json_document(source, "synthetic config")
         try:
-            return cls(
-                base=tuple(float(v) for v in doc["base"]),
-                recovery=tuple(tuple(float(v) for v in row) for row in doc["recovery"]),
-                noise_sd=float(doc.get("noise_sd", 0.0)),
+            base = tuple(_json_float(v, "base value") for v in doc["base"])
+            recovery = tuple(
+                tuple(_json_float(v, "recovery weight") for v in row) for row in doc["recovery"]
             )
-        except (KeyError, TypeError, ValueError, OverflowError) as e:
+            noise_sd = _json_float(doc.get("noise_sd", 0.0), "noise_sd")
+        except (KeyError, TypeError, DataError) as e:
             raise DataError(f"bad synthetic config: {e}") from e
+        return cls(base, recovery, noise_sd)
 
     def to_json_dict(self) -> dict:
         return {
@@ -376,7 +380,6 @@ class TabularOracle(CoalitionValueOracle):
         if full not in table:
             raise DataError("oracle table is missing the full coalition", code="missing-full-coalition")
         self.table = {m: _check_perf(v, (schema.n,)) for m, v in table.items()}
-        self.source = source
 
     def _eval_many(self, instances, masks: list[int], trial: int) -> np.ndarray:
         try:

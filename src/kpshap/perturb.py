@@ -45,7 +45,6 @@ class MaskSpec:
     width: int
     height: int
     rect: tuple[int, int, int, int]
-    fill: str = "noise"
 
 
 def gen_masks(

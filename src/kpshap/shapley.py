@@ -29,7 +29,6 @@ import numpy as np
 from .errors import DataError
 from .grouping import Grouping
 from .oracle import CoalitionValueOracle, _read_coalition_table, _write_coalition_table
-from .rng import generator
 from .skeleton import KeypointSchema
 
 MAX_PLAYERS = 20
@@ -176,44 +175,6 @@ def read_game_csv(path) -> np.ndarray:
 def write_game_csv(path, values) -> None:
     arr, _ = _game_table(values, "game table")
     _write_coalition_table(path, ["value"], dict(enumerate(arr[:, None])), "game table")
-
-
-def sampled_shapley(
-    value, n: int, permutations: int, seed: int = 0, players=None, target: str = ""
-) -> ShapleyTable:
-    """Permutation-sampling estimate; comparison baseline, not used by the
-    attribution pipeline. Coalition values are memoized across permutations."""
-    _check_player_count(n)
-    if permutations < 1:
-        raise DataError("need at least one permutation")
-    if players is None:
-        players = tuple(f"p{i}" for i in range(n))
-    memo: dict[int, float] = {}
-
-    def v(mask: int) -> float:
-        if mask not in memo:
-            memo[mask] = float(value(mask))
-        return memo[mask]
-
-    rng = generator("sampled-shapley", seed)
-    phi = np.zeros(n, dtype=np.float64)
-    for _ in range(permutations):
-        order = rng.permutation(n)
-        mask = 0
-        prev = v(0)
-        for j in order:
-            mask |= 1 << int(j)
-            cur = v(mask)
-            phi[j] += cur - prev
-            prev = cur
-    phi /= permutations
-    return ShapleyTable(
-        target=target,
-        players=tuple(players),
-        phi=tuple(float(x) for x in phi),
-        value_full=v((1 << n) - 1),
-        value_empty=v(0),
-    )
 
 
 def group_label(k: int) -> str:

@@ -103,13 +103,17 @@ def load_schema(source) -> tuple[KeypointSchema, Skeleton]:
             "schema document must have 'names' and 'edges' lists", code="schema-parse"
         )
 
-    names = tuple(canonical_name(str(nm)) for nm in doc["names"])
-    schema = KeypointSchema(names)
+    for nm in doc["names"]:
+        if not isinstance(nm, str):
+            raise SchemaError(f"keypoint name {nm!r} is not a string", code="schema-parse")
+    schema = KeypointSchema(tuple(canonical_name(nm) for nm in doc["names"]))
     edges = set()
     for pair in doc["edges"]:
         if not isinstance(pair, (list, tuple)) or len(pair) != 2:
             raise SchemaError(f"edge {pair!r} must have two endpoints", code="schema-parse")
-        a, b = (schema.index_of(str(p)) for p in pair)
+        if not all(isinstance(p, str) for p in pair):
+            raise SchemaError(f"edge {pair!r} endpoints must be names", code="schema-parse")
+        a, b = (schema.index_of(p) for p in pair)
         if a == b:
             raise SchemaError(f"self-loop on {schema.names[a]!r}", code="self-loop")
         edges.add(frozenset((a, b)))

@@ -644,6 +644,102 @@ def test_gkr_apply_never_writes_over_an_input(capsys, tmp_path, case):
     assert not (out / "gkr-apply.manifest.json").exists()
 
 
+def _overwrite_argv(case, fixtures_dir, tmp_path):
+    """(argv, the input or output named twice, the other outputs) for one
+    subcommand whose output names one of its inputs or another output."""
+    for name in ["table2.csv", "synthetic17.json", "expected_groups.json", "glove3.csv"]:
+        (tmp_path / name).write_bytes((fixtures_dir / name).read_bytes())
+    delta, synthetic = tmp_path / "table2.csv", tmp_path / "synthetic17.json"
+    groups, game = tmp_path / "expected_groups.json", tmp_path / "glove3.csv"
+    persons = Path(_persons_json(tmp_path / "persons.json"))
+    matrix, table = tmp_path / "matrix.csv", tmp_path / "conf.csv"
+    write_matrix_csv(matrix, ["a", "b"], np.eye(2))
+    table.write_text("instance,a,b\n0,0.1,0.9\n1,0.4,0.3\n2,0.8,0.5\n")
+    x, g = tmp_path / "x.csv", tmp_path / "g.json"
+    link = tmp_path / "link.csv"
+    link.symlink_to(delta)
+    oracle = ["--synthetic", str(synthetic), "--instances", "0"]
+    return {
+        "cluster --out is --delta": (
+            ["cluster", "--delta", str(delta), "--out", str(delta)], delta, []
+        ),
+        "cluster --out is a symlink to --delta": (
+            ["cluster", "--delta", str(delta), "--out", str(link)], link, []
+        ),
+        "cluster --manifest is --delta": (
+            ["cluster", "--delta", str(delta), "--out", str(g), "--manifest", str(delta)],
+            delta,
+            [g],
+        ),
+        "interdep --out-pi is --out-delta": (
+            ["interdep", *oracle, "--out-delta", str(x), "--out-pi", str(x)], x, []
+        ),
+        "interdep --out-delta is --synthetic": (
+            ["interdep", *oracle, "--out-delta", str(synthetic), "--out-pi", str(x)],
+            synthetic,
+            [x],
+        ),
+        "shapley --out is --groups": (
+            ["shapley", *oracle, "--groups", str(groups), "--out", str(groups)], groups, []
+        ),
+        "exact --out is --game": (["exact", "--game", str(game), "--out", str(game)], game, []),
+        "masks --manifest is --out": (
+            ["masks", "--keypoint", "5,5", "--width", "16", "--height", "12"]
+            + ["--out", str(x), "--manifest", str(x)],
+            x,
+            [],
+        ),
+        "gkr plan --out is --annotations": (
+            ["gkr", "plan", "--annotations", str(persons), "--groups", str(groups)]
+            + ["--out", str(persons)],
+            persons,
+            [],
+        ),
+        "gkr stats --out is --annotations": (
+            ["gkr", "stats", "--annotations", str(persons), "--out", str(persons)], persons, []
+        ),
+        "corr --out is --table": (["corr", "--table", str(table), "--out", str(table)], table, []),
+        "render --out is --matrix": (
+            ["render", "--matrix", str(matrix), "--out", str(matrix)], matrix, []
+        ),
+    }[case]
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        "cluster --out is --delta",
+        "cluster --out is a symlink to --delta",
+        "cluster --manifest is --delta",
+        "interdep --out-pi is --out-delta",
+        "interdep --out-delta is --synthetic",
+        "shapley --out is --groups",
+        "exact --out is --game",
+        "masks --manifest is --out",
+        "gkr plan --out is --annotations",
+        "gkr stats --out is --annotations",
+        "corr --out is --table",
+        "render --out is --matrix",
+    ],
+)
+def test_no_subcommand_writes_over_an_input_or_twice_to_one_file(
+    capsys, fixtures_dir, tmp_path, case
+):
+    # checked before the first write: every input keeps its bytes, and
+    # neither another output nor a manifest is written
+    argv, named_twice, others = _overwrite_argv(case, fixtures_dir, tmp_path)
+    before = {p: p.read_bytes() for p in tmp_path.iterdir()}
+    code, _, err = run(capsys, *argv)
+    assert code == 3
+    command = " ".join(argv[:2]) if argv[0] == "gkr" else argv[0]
+    assert err in (
+        f"error(data): {command} would write over its input {named_twice}\n",
+        f"error(data): {command} would write two outputs to {named_twice}\n",
+    )
+    assert {p: p.read_bytes() for p in tmp_path.iterdir()} == before
+    assert not any(p.exists() for p in others)
+
+
 def test_gkr_apply_joins_plans_that_spell_one_image_differently(capsys, tmp_path):
     # "a.png" and "./a.png" are one image: both plans must erase it, or the
     # last write wins and drops the other plan's rectangle

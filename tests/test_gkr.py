@@ -12,7 +12,6 @@ from kpshap import (
     GkrConfig,
     Grouping,
     PersonAnnotation,
-    ReConfig,
     apply_plan,
     bucket_for,
     default_scales,
@@ -21,7 +20,6 @@ from kpshap import (
     occlusion_stats,
     parse_annotations,
     plan_gkr,
-    plan_random_erasing,
     read_plans,
     write_plans,
 )
@@ -212,14 +210,16 @@ def test_default_scales_shrink_face_group(schema, expected_grouping):
 
 
 def test_random_erasing_baseline(schema):
+    # the grouping-blind baseline is GKR over the one group of all keypoints
     person = person_all_visible(schema)
+    one_group = Grouping.from_sets([range(schema.n)], schema.n)
     erased = 0
     for seed in range(40):
-        plan = plan_random_erasing(person, ReConfig(0.5, 0.15, seed))
+        plan = plan_gkr(person, one_group, GkrConfig(0.5, (0.15,), seed))
         assert len(plan.rects) <= 1
         if plan.rects:
             erased += 1
-            assert plan.rects[0].group == -1
+            assert plan.rects[0].group == 0
     assert 5 < erased < 35
 
 

@@ -168,6 +168,28 @@ def test_csv_cell_over_field_limit_is_data_error(tmp_path, name):
         ),
         ("Grouping.from_json", json_doc({"groups": GROUPS}, g=5.7)),
         ("Grouping.from_json", json_doc({"groups": GROUPS}, g="5")),
+        (
+            "load_schema",
+            json_doc(SCHEMA_DOC, names=[None, True, 3.5], edges=[[None, True], [True, 3.5]]),
+        ),
+        ("load_schema", json_doc(SCHEMA_DOC, names=["1", "b"], edges=[[1, "b"]])),
+        (
+            "parse_annotations",
+            annotations_doc(annotation={**ANNOTATION, "keypoints": ["3.5", 1, 2] * SCHEMA.n}),
+        ),
+        (
+            "parse_annotations",
+            annotations_doc(annotation={**ANNOTATION, "keypoints": [1, True, 2] * SCHEMA.n}),
+        ),
+        ("parse_annotations", annotations_doc({**IMAGE, "file_name": None})),
+        ("parse_annotations", annotations_doc({**IMAGE, "file_name": ["a.png"]})),
+        ("read_plans", PLAN_LINE.replace(b'"a.png"', b"null")),
+        ("read_plans", PLAN_LINE.replace(b'"a.png"', b'["a.png"]')),
+        ("SyntheticModelConfig.from_json", json_doc(SYNTHETIC, base=[True, "0.5"])),
+        ("SyntheticModelConfig.from_json", json_doc(SYNTHETIC, recovery=[[0, "0.5"], [0.5, 0]])),
+        ("SyntheticModelConfig.from_json", json_doc(SYNTHETIC, noise_sd="0")),
+        ("SyntheticModelConfig.from_json", json_doc(SYNTHETIC, base=[], recovery=[])),
+        ("SyntheticModelConfig.from_json", json_doc(SYNTHETIC, recovery=[[0, 0.5], [0.5]])),
     ],
     ids=[
         "text-count",
@@ -194,12 +216,27 @@ def test_csv_cell_over_field_limit_is_data_error(tmp_path, name):
         "fractional-visibility",
         "fractional-count",
         "text-count-of-a-valid-grouping",
+        "schema-names-not-strings",
+        "schema-edge-endpoint-not-a-string",
+        "text-keypoint-x",
+        "boolean-keypoint-y",
+        "null-file-name",
+        "list-file-name",
+        "null-plan-file-name",
+        "list-plan-file-name",
+        "synthetic-boolean-and-text-base",
+        "synthetic-text-recovery",
+        "synthetic-text-noise",
+        "synthetic-empty",
+        "synthetic-ragged-recovery",
     ],
 )
 def test_well_formed_json_of_the_wrong_shape_is_data_error(tmp_path, name, content):
     # valid JSON that random bytes almost never produce: a non-numeric,
     # fractional or infinite number, an empty group, nesting deeper than the
-    # parser's stack, a field of the wrong type; a schema fails as a schema
+    # parser's stack, a field of the wrong type (a number or name given as
+    # text, a bool or null, never passed through float() or str()); a schema
+    # fails as a schema
     reader, _ = READERS[name]
     path = tmp_path / "input"
     path.write_bytes(content)

@@ -30,7 +30,6 @@ from kpshap import (
     query_count,
     read_game_csv,
     run_group_attribution,
-    sampled_shapley,
     write_game_csv,
 )
 from kpshap.shapley import _group_means, _tables
@@ -142,16 +141,6 @@ def test_player_count_guard():
 def test_non_finite_game_rejected():
     with pytest.raises(DataError):
         exact_shapley(sweep(lambda m: math.inf if m else 0.0, 2))
-
-
-def test_sampled_estimator_approaches_exact():
-    game = random_game(5, 4)
-    exact = exact_shapley(sweep(game, 5))
-    est = sampled_shapley(game, 5, permutations=4000, seed=0)
-    assert np.allclose(est.phi, exact.phi, atol=0.05)
-    # deterministic for a fixed seed
-    again = sampled_shapley(game, 5, permutations=4000, seed=0)
-    assert est.phi == again.phi
 
 
 # --- game CSV ------------------------------------------------------------
