@@ -3,6 +3,9 @@
 Every artifact-producing subcommand writes a run manifest next to its
 primary output (override with --manifest) recording argument snapshot,
 seed, schema digest, oracle identity and sha256 of all inputs and outputs.
+The inputs are the files the run reads, those named by --schema, --synthetic
+and --oracle-table included, and every subcommand that reads a schema records
+its digest, the built-in schema's when --schema is not given.
 Exit codes: 0 ok, 2 usage, 3 schema/data error, 4 oracle error.
 
 ``main(argv)`` may be called many times in one process. Every call reuses
@@ -71,12 +74,8 @@ from .skeleton import default_schema, keypoint_connectivity, load_schema, schema
 
 
 def _load_schema_arg(path):
-    """Returns (schema, skeleton, source path or None for the built-in)."""
-    if path is None:
-        schema, skeleton = default_schema()
-        return schema, skeleton, None
-    schema, skeleton = load_schema(path)
-    return schema, skeleton, path
+    """The (schema, skeleton) pair of --schema, or the built-in one."""
+    return default_schema() if path is None else load_schema(path)
 
 
 def _add_schema_flag(p):
@@ -106,13 +105,11 @@ def _add_oracle_flags(p):
 
 
 def _open_oracle(ns, schema):
-    """Returns (oracle, list of input files the manifest should digest)."""
     if ns.synthetic:
-        config = SyntheticModelConfig.from_json(ns.synthetic)
-        return SyntheticOracle(config, schema), [ns.synthetic]
+        return SyntheticOracle(SyntheticModelConfig.from_json(ns.synthetic), schema)
     if ns.oracle_table:
-        return load_tabular_oracle(ns.oracle_table, schema), [ns.oracle_table]
-    return ExternalOracle(ns.oracle_cmd, schema, timeout=ns.timeout), []
+        return load_tabular_oracle(ns.oracle_table, schema)
+    return ExternalOracle(ns.oracle_cmd, schema, timeout=ns.timeout)
 
 
 def _parse_instances(text):
@@ -122,14 +119,6 @@ def _parse_instances(text):
     if not ids:
         raise DataError(f"empty instance list {text!r}")
     return ids
-
-
-def _manifest_args(ns) -> dict:
-    return {k: v for k, v in vars(ns).items() if k != "func"}
-
-
-def _manifest_path(ns, outputs) -> str:
-    return ns.manifest if ns.manifest else str(outputs[0]) + ".manifest.json"
 
 
 def _file_key(path):
@@ -142,13 +131,20 @@ def _file_key(path):
     return st.st_dev, st.st_ino
 
 
-def _refuse_overwrite(ns, command, inputs, outputs) -> None:
-    """Called before a command's first write. Writing over an input would
-    erase what the run reads, and the manifest would then digest the erased
-    bytes as the input; two outputs on one file would keep only the last."""
-    read = {_file_key(path) for path in inputs if path}
+def _claim_outputs(ns, inputs, outputs, schema_pair=None):
+    """Called once by each artifact-producing handler, before its first write.
+    Refuses an output on an input (the run would erase what it reads) or two
+    outputs on one file; the inputs are the handler's own plus the files of
+    --schema, --synthetic and --oracle-table. Returns ``emit(oracle=None)``,
+    which writes the run manifest once the outputs exist and returns its path.
+    """
+    command = ns.func.removeprefix("cmd_").replace("_", " ")
+    flagged = (getattr(ns, flag, None) for flag in ("synthetic", "oracle_table"))
+    inputs = [p for p in (getattr(ns, "schema", None), *inputs, *flagged) if p]
+    manifest_path = ns.manifest or str(outputs[0]) + ".manifest.json"
+    read = {_file_key(path) for path in inputs}
     written = set()
-    for path in [*outputs, _manifest_path(ns, outputs)]:
+    for path in [*outputs, manifest_path]:
         key = _file_key(path)
         if key in read:
             raise DataError(f"{command} would write over its input {path}")
@@ -156,64 +152,47 @@ def _refuse_overwrite(ns, command, inputs, outputs) -> None:
             raise DataError(f"{command} would write two outputs to {path}")
         written.add(key)
 
+    def emit(oracle=None):
+        manifest = build_manifest(
+            __version__,
+            command,
+            {k: v for k, v in vars(ns).items() if k != "func"},
+            seed=getattr(ns, "seed", None),
+            schema_sha256=schema_digest(*schema_pair) if schema_pair else None,
+            oracle=oracle,
+            input_paths=inputs,
+            output_paths=list(outputs),
+        )
+        write_manifest(manifest_path, manifest)
+        return manifest_path
 
-def _emit_manifest(ns, command, *, inputs, outputs, seed=None, schema_pair=None, oracle=None):
-    digest = schema_digest(*schema_pair) if schema_pair else None
-    manifest = build_manifest(
-        __version__,
-        command,
-        _manifest_args(ns),
-        seed=seed,
-        schema_sha256=digest,
-        oracle=oracle,
-        input_paths=[p for p in inputs if p],
-        output_paths=list(outputs),
-    )
-    path = _manifest_path(ns, outputs)
-    write_manifest(path, manifest)
-    return path
+    return emit
 
 
 def cmd_interdep(ns) -> int:
-    schema, skeleton, schema_path = _load_schema_arg(ns.schema)
+    schema, skeleton = _load_schema_arg(ns.schema)
     instances = _parse_instances(ns.instances)
-    oracle, oracle_inputs = _open_oracle(ns, schema)
-    inputs, outputs = [schema_path, *oracle_inputs], [ns.out_delta, ns.out_pi]
+    oracle = _open_oracle(ns, schema)
     with oracle:
-        _refuse_overwrite(ns, "interdep", inputs, outputs)
+        emit = _claim_outputs(ns, [], [ns.out_delta, ns.out_pi], (schema, skeleton))
         identity = oracle.describe()
         delta = delta_perf_matrix(oracle, instances=instances, m=ns.trials, seed=ns.seed)
     write_delta_csv(ns.out_delta, delta)
     pi = perturbation_influence(delta)
     write_matrix_csv(ns.out_pi, list(delta.names), pi)
-    path = _emit_manifest(
-        ns,
-        "interdep",
-        inputs=inputs,
-        outputs=outputs,
-        seed=ns.seed,
-        schema_pair=(schema, skeleton),
-        oracle=identity,
-    )
+    path = emit(identity)
     print(f"wrote {ns.out_delta}, {ns.out_pi}, {path} ({schema.n} keypoints)")
     return 0
 
 
 def cmd_cluster(ns) -> int:
-    schema, skeleton, schema_path = _load_schema_arg(ns.schema)
+    schema, skeleton = _load_schema_arg(ns.schema)
     delta = read_delta_csv(ns.delta, schema)
     s = interdependency(perturbation_influence(delta), keypoint_connectivity(schema, skeleton))
     grouping = cluster_matrix(s, g=ns.g, linkage=ns.linkage)
-    inputs = [schema_path, ns.delta]
-    _refuse_overwrite(ns, "cluster", inputs, [ns.out])
+    emit = _claim_outputs(ns, [ns.delta], [ns.out], (schema, skeleton))
     _write_bytes(ns.out, _json_text(grouping.to_json_dict(schema)), "grouping")
-    path = _emit_manifest(
-        ns,
-        "cluster",
-        inputs=inputs,
-        outputs=[ns.out],
-        schema_pair=(schema, skeleton),
-    )
+    path = emit()
     for k, members in enumerate(grouping.groups):
         print(f"{group_label(k)}: " + " ".join(schema.names[i] for i in members))
     print(f"wrote {ns.out}, {path}")
@@ -221,13 +200,12 @@ def cmd_cluster(ns) -> int:
 
 
 def cmd_shapley(ns) -> int:
-    schema, skeleton, schema_path = _load_schema_arg(ns.schema)
+    schema, skeleton = _load_schema_arg(ns.schema)
     grouping = Grouping.from_json(ns.groups, schema)
     instances = _parse_instances(ns.instances)
-    oracle, oracle_inputs = _open_oracle(ns, schema)
-    inputs = [schema_path, ns.groups, *oracle_inputs]
+    oracle = _open_oracle(ns, schema)
     with oracle:
-        _refuse_overwrite(ns, "shapley", inputs, [ns.out])
+        emit = _claim_outputs(ns, [ns.groups], [ns.out], (schema, skeleton))
         identity = oracle.describe()
         report, budget = run_group_attribution(
             oracle,
@@ -237,15 +215,7 @@ def cmd_shapley(ns) -> int:
             split_mode=ns.split,
         )
     _write_bytes(ns.out, _json_text(report.to_json_dict()), "report")
-    path = _emit_manifest(
-        ns,
-        "shapley",
-        inputs=inputs,
-        outputs=[ns.out],
-        seed=ns.seed,
-        schema_pair=(schema, skeleton),
-        oracle=identity,
-    )
+    path = emit(identity)
     print(
         f"oracle calls {budget.oracle_calls}, distinct coalitions "
         f"{budget.distinct_coalitions}; wrote {ns.out}, {path}"
@@ -259,9 +229,9 @@ def cmd_exact(ns) -> int:
         print(f"{name} {phi:.10g}")
     print(f"efficiency_gap {table.efficiency_gap():.3g}")
     if ns.out:
-        _refuse_overwrite(ns, "exact", [ns.game], [ns.out])
+        emit = _claim_outputs(ns, [ns.game], [ns.out])
         _write_bytes(ns.out, _json_text(table.to_json_dict()), "result")
-        _emit_manifest(ns, "exact", inputs=[ns.game], outputs=[ns.out])
+        emit()
     return 0
 
 
@@ -305,16 +275,16 @@ def cmd_masks(ns) -> int:
         )
     text = "\n".join(lines) + "\n"
     if ns.out:
-        _refuse_overwrite(ns, "masks", [], [ns.out])
+        emit = _claim_outputs(ns, [], [ns.out])
         _write_bytes(ns.out, text, "masks")
-        _emit_manifest(ns, "masks", inputs=[], outputs=[ns.out], seed=ns.seed)
+        emit()
     else:
         sys.stdout.write(text)
     return 0
 
 
 def cmd_gkr_plan(ns) -> int:
-    schema, skeleton, schema_path = _load_schema_arg(ns.schema)
+    schema, skeleton = _load_schema_arg(ns.schema)
     grouping = Grouping.from_json(ns.groups, schema)
     persons = parse_annotations(ns.annotations, schema)
     if ns.scales:
@@ -332,17 +302,9 @@ def cmd_gkr_plan(ns) -> int:
             seed=mix64("gkr-person", ns.seed, person.annotation_id),
         )
         plans.append(plan_gkr(person, grouping, cfg))
-    inputs = [schema_path, ns.groups, ns.annotations]
-    _refuse_overwrite(ns, "gkr plan", inputs, [ns.out])
+    emit = _claim_outputs(ns, [ns.groups, ns.annotations], [ns.out], (schema, skeleton))
     write_plans(ns.out, plans)
-    path = _emit_manifest(
-        ns,
-        "gkr plan",
-        inputs=inputs,
-        outputs=[ns.out],
-        seed=ns.seed,
-        schema_pair=(schema, skeleton),
-    )
+    path = emit()
     rects = sum(len(p.rects) for p in plans)
     print(f"planned {len(plans)} persons, {rects} rectangles; wrote {ns.out}, {path}")
     return 0
@@ -369,9 +331,8 @@ def cmd_gkr_apply(ns) -> int:
     files = [(images_dir / name, out_dir / name, file_plans) for name, file_plans in by_file.items()]
     if ns.manifest is None:
         ns.manifest = str(out_dir / "gkr-apply.manifest.json")
-    inputs = [ns.plans, *(str(src) for src, _, _ in files)]
     outputs = [str(dst) for _, dst, _ in files]
-    _refuse_overwrite(ns, "gkr apply", inputs, outputs)
+    emit = _claim_outputs(ns, [ns.plans, *(str(src) for src, _, _ in files)], outputs)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as e:
@@ -381,20 +342,19 @@ def cmd_gkr_apply(ns) -> int:
         for plan in file_plans:
             image = apply_plan(image, plan)
         save_image(dst, image)
-    path = _emit_manifest(ns, "gkr apply", inputs=inputs, outputs=outputs)
+    path = emit()
     print(f"applied {len(plans)} plans to {len(outputs)} images; wrote {path}")
     return 0
 
 
 def cmd_gkr_stats(ns) -> int:
-    schema, _, _ = _load_schema_arg(ns.schema)
-    persons = parse_annotations(ns.annotations, schema)
-    stats = occlusion_stats(persons)
+    schema, skeleton = _load_schema_arg(ns.schema)
+    stats = occlusion_stats(parse_annotations(ns.annotations, schema))
     text = _json_text(stats)
     if ns.out:
-        _refuse_overwrite(ns, "gkr stats", [ns.schema, ns.annotations], [ns.out])
+        emit = _claim_outputs(ns, [ns.annotations], [ns.out], (schema, skeleton))
         _write_bytes(ns.out, text, "stats")
-        _emit_manifest(ns, "gkr stats", inputs=[ns.annotations], outputs=[ns.out])
+        emit()
     else:
         sys.stdout.write(text)
     return 0
@@ -407,24 +367,24 @@ def cmd_corr(ns) -> int:
         result = confidence_correlation(table)
     for w in caught:
         print(f"warning: {w.message}", file=sys.stderr)
-    _refuse_overwrite(ns, "corr", [ns.table], [ns.out])
+    emit = _claim_outputs(ns, [ns.table], [ns.out])
     write_matrix_csv(ns.out, list(table.names), result.matrix)
-    path = _emit_manifest(ns, "corr", inputs=[ns.table], outputs=[ns.out])
+    path = emit()
     print(f"wrote {ns.out}, {path}")
     return 0
 
 
 def cmd_render(ns) -> int:
     labels, matrix = read_matrix_csv(ns.matrix)
-    _refuse_overwrite(ns, "render", [ns.matrix], [ns.out])
+    emit = _claim_outputs(ns, [ns.matrix], [ns.out])
     _write_bytes(ns.out, render_heatmap(matrix, labels), "heatmap")
-    path = _emit_manifest(ns, "render", inputs=[ns.matrix], outputs=[ns.out])
+    path = emit()
     print(f"wrote {ns.out}, {path}")
     return 0
 
 
 def cmd_oracle_serve_synthetic(ns) -> int:
-    schema, _, _ = _load_schema_arg(ns.schema)
+    schema, _ = _load_schema_arg(ns.schema)
     config = SyntheticModelConfig.from_json(ns.config)
     serve(SyntheticOracle(config, schema), sys.stdin, sys.stdout)
     return 0

@@ -83,6 +83,8 @@ def parse_annotations(source, schema: KeypointSchema) -> list[PersonAnnotation]:
             raise DataError(f"bad images entry {img!r}: {e}") from e
         if duplicate:
             raise DataError(f"duplicate image id {image_id!r}", code="duplicate-image")
+        if max(width, height) > 2**31 - 1:  # the largest a PNG header states (PNG 11.2.2)
+            raise DataError(f"image {image_id!r} has a side above 2^31-1 pixels, the PNG limit")
         images[image_id] = entry
         keys.add(str(image_id))
     persons = []
@@ -195,6 +197,9 @@ class ErasePlan:
                 )
                 for r in doc["rects"]
             )
+            for r in rects:
+                if len(r.rect) != 4:
+                    raise DataError(f"rect {list(r.rect)} is not four integers")
             return cls(
                 doc["image_id"],
                 doc["annotation_id"],

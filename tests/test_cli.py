@@ -16,6 +16,7 @@ from kpshap import (
     apply_plan,
     default_schema,
     load_image,
+    load_schema,
     read_matrix_csv,
     save_image,
     schema_digest,
@@ -211,22 +212,23 @@ def _unwritable_output_argv(case, fixtures_dir, tmp_path):
     }[case]
 
 
-@pytest.mark.parametrize(
-    "case",
-    [
-        "interdep",
-        "cluster",
-        "shapley",
-        "exact",
-        "masks",
-        "gkr plan",
-        "gkr stats",
-        "corr",
-        "render",
-        "cluster --manifest",
-        "gkr apply --out (existing file)",
-    ],
-)
+# every artifact-producing subcommand, one case each, plus --manifest once
+ARTIFACT_CASES = [
+    "interdep",
+    "cluster",
+    "shapley",
+    "exact",
+    "masks",
+    "gkr plan",
+    "gkr stats",
+    "corr",
+    "render",
+    "cluster --manifest",
+    "gkr apply --out (existing file)",
+]
+
+
+@pytest.mark.parametrize("case", ARTIFACT_CASES)
 def test_unwritable_output_exit_3(capsys, fixtures_dir, tmp_path, case):
     # an output in a directory that does not exist, or an output directory
     # that is a file, is a data error: exit 3 with one error line
@@ -234,6 +236,83 @@ def test_unwritable_output_exit_3(capsys, fixtures_dir, tmp_path, case):
     assert code == 3
     assert err.startswith("error(")
     assert "Traceback" not in err
+
+
+# the flags that name a file the run reads
+INPUT_FLAGS = {"--synthetic", "--oracle-table", "--schema", "--delta", "--groups", "--game"}
+INPUT_FLAGS |= {"--annotations", "--table", "--matrix", "--plans"}
+COCO17 = Path(kpshap.__file__).parent / "schemas" / "coco17.json"
+
+
+def _usage(capsys, words) -> str:
+    with pytest.raises(SystemExit):
+        main([*words, "--help"])
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize("case", ARTIFACT_CASES)
+def test_manifest_records_what_the_invocation_names(capsys, fixtures_dir, tmp_path, case):
+    # the same invocations with every output writable: the manifest's
+    # command, input files, schema digest and seed are each pinned here
+    argv = _unwritable_output_argv(case, fixtures_dir, tmp_path)
+    (tmp_path / "missing").mkdir()
+    if case.startswith("gkr apply"):
+        (tmp_path / "taken").unlink()
+    words = argv[:2] if argv[0] == "gkr" else argv[:1]
+    usage = _usage(capsys, words)
+    takes_schema, takes_seed = "--schema" in usage, "--seed" in usage
+    schema = tmp_path / "schema.json"
+    if takes_schema:
+        schema.write_bytes(COCO17.read_bytes())
+        argv += ["--schema", str(schema)]
+    if takes_seed:  # not the default 0; interdep's instance 0 at seed 3 is degenerate-row
+        argv += ["--seed", "1"]
+    code, _, err = run(capsys, *argv)
+    assert code == 0, err
+
+    if "--manifest" in argv:
+        path = argv[argv.index("--manifest") + 1]
+    elif words == ["gkr", "apply"]:
+        path = os.path.join(argv[argv.index("--out") + 1], "gkr-apply.manifest.json")
+    else:
+        path = argv[argv.index("--out-delta" if "--out-delta" in argv else "--out") + 1]
+        path += ".manifest.json"
+    manifest = json.loads(Path(path).read_text())
+    named = {value for flag, value in zip(argv, argv[1:]) if flag in INPUT_FLAGS}
+    if "--images" in argv:
+        images = argv[argv.index("--images") + 1]
+        named |= {os.path.join(images, name) for name in os.listdir(images)}
+    assert manifest["command"] == " ".join(words)
+    assert manifest["inputs"] == {p: sha256_file(p) for p in named}
+    if takes_schema:
+        assert manifest["schema_sha256"] == schema_digest(*load_schema(schema))
+    else:
+        assert manifest["schema_sha256"] is None
+    assert manifest["seed"] == (1 if takes_seed else None)
+
+
+def test_gkr_stats_manifest_records_its_schema(capsys, tmp_path):
+    # with --schema, the schema file is an input and its digest is recorded;
+    # without it, the built-in schema's digest is, as for cluster
+    persons = _persons_json(tmp_path / "persons.json")
+    doc = json.loads(COCO17.read_text())
+    schema = tmp_path / "schema.json"  # the 17 keypoints with one edge less
+    schema.write_text(json.dumps({**doc, "edges": doc["edges"][1:]}))
+    own, builtin = schema_digest(*load_schema(schema)), schema_digest(*default_schema())
+    assert own != builtin
+    for flags, inputs, digest in [
+        (["--schema", str(schema)], [persons, str(schema)], own),
+        ([], [persons], builtin),
+    ]:
+        out = tmp_path / "stats.json"
+        manifest_path = Path(f"{out}.manifest.json")
+        manifest_path.unlink(missing_ok=True)
+        argv = ["gkr", "stats", "--annotations", persons, *flags, "--out", str(out)]
+        code, _, err = run(capsys, *argv)
+        assert code == 0, err
+        manifest = json.loads(manifest_path.read_text())
+        assert manifest["inputs"] == {p: sha256_file(p) for p in inputs}
+        assert manifest["schema_sha256"] == digest
 
 
 def test_render_writes_utf8_whatever_the_locale(tmp_path):
@@ -620,6 +699,41 @@ def test_gkr_apply_refuses_a_file_name_outside_the_directories(capsys, tmp_path,
     assert code == 3
     assert err.startswith("error(data): plan file_name ")
     assert target.read_bytes() == before
+
+
+@pytest.mark.parametrize("rect", [[2, 2, 8], [2, 2, 8, 8, 1]], ids=["three", "five"])
+def test_gkr_apply_refuses_a_rect_of_the_wrong_arity(capsys, tmp_path, rect):
+    images = tmp_path / "images"
+    images.mkdir()
+    plans = Path(_erase_plan(tmp_path, "a.ppm", images / "a.ppm"))
+    doc = json.loads(plans.read_text())
+    doc["rects"][0]["rect"] = rect
+    plans.write_text(json.dumps(doc) + "\n")
+    out = tmp_path / "out"
+    argv = ["gkr", "apply", "--plans", str(plans), "--images", str(images), "--out", str(out)]
+    code, _, err = run(capsys, *argv)
+    assert code == 3
+    assert err.startswith("error(")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "side, size", [("width", 10**400), ("height", 2**31)], ids=["width-1e400", "height-2^31"]
+)
+def test_gkr_plan_refuses_an_image_side_beyond_png(capsys, fixtures_dir, tmp_path, side, size):
+    # a PNG side is at most 2^31-1 pixels; a larger one overflows the
+    # planner's float arithmetic
+    persons = Path(_persons_json(tmp_path / "persons.json"))
+    doc = json.loads(persons.read_text())
+    doc["images"][0][side] = size
+    persons.write_text(json.dumps(doc))
+    out = tmp_path / "plans.jsonl"
+    argv = ["gkr", "plan", "--annotations", str(persons), "--out", str(out)]
+    code, _, err = run(capsys, *argv, "--groups", str(fixtures_dir / "expected_groups.json"))
+    assert code == 3
+    assert err.startswith("error(data): image 0 has a side above 2^31-1 pixels")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("case", ["out is images", "hard link", "symlink", "manifest"])

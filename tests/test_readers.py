@@ -190,6 +190,9 @@ def test_csv_cell_over_field_limit_is_data_error(tmp_path, name):
         ("SyntheticModelConfig.from_json", json_doc(SYNTHETIC, noise_sd="0")),
         ("SyntheticModelConfig.from_json", json_doc(SYNTHETIC, base=[], recovery=[])),
         ("SyntheticModelConfig.from_json", json_doc(SYNTHETIC, recovery=[[0, 0.5], [0.5]])),
+        ("read_plans", PLAN_LINE.replace(b"[0,0,1,1]", b"[0,0,1]")),
+        ("parse_annotations", annotations_doc({**IMAGE, "width": 10**400})),
+        ("parse_annotations", annotations_doc({**IMAGE, "height": 2**31})),
     ],
     ids=[
         "text-count",
@@ -229,6 +232,9 @@ def test_csv_cell_over_field_limit_is_data_error(tmp_path, name):
         "synthetic-text-noise",
         "synthetic-empty",
         "synthetic-ragged-recovery",
+        "rect-of-three",
+        "width-beyond-png",
+        "height-beyond-png",
     ],
 )
 def test_well_formed_json_of_the_wrong_shape_is_data_error(tmp_path, name, content):
