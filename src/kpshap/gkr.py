@@ -33,6 +33,15 @@ from .rng import generator, mix64
 from .skeleton import KeypointSchema
 
 
+def _check_image_size(image_id, width: int, height: int) -> None:
+    """Refuse a side below 1 pixel or above 2^31 - 1, the largest a PNG
+    header states (PNG 11.2.2); a larger one overflows the planner's floats."""
+    if width < 1 or height < 1:
+        raise DataError(f"bad image size {width}x{height}")
+    if max(width, height) > 2**31 - 1:
+        raise DataError(f"image {image_id!r} has a side above 2^31-1 pixels, the PNG limit")
+
+
 @dataclass(frozen=True)
 class PersonAnnotation:
     """One annotated person: (x, y, visibility) per keypoint plus image info."""
@@ -45,8 +54,7 @@ class PersonAnnotation:
     keypoints: tuple[tuple[float, float, int], ...]
 
     def __post_init__(self):
-        if self.width < 1 or self.height < 1:
-            raise DataError(f"bad image size {self.width}x{self.height}")
+        _check_image_size(self.image_id, self.width, self.height)
         for idx, (x, y, v) in enumerate(self.keypoints):
             if v not in (0, 1, 2):
                 raise DataError(
@@ -83,8 +91,7 @@ def parse_annotations(source, schema: KeypointSchema) -> list[PersonAnnotation]:
             raise DataError(f"bad images entry {img!r}: {e}") from e
         if duplicate:
             raise DataError(f"duplicate image id {image_id!r}", code="duplicate-image")
-        if max(width, height) > 2**31 - 1:  # the largest a PNG header states (PNG 11.2.2)
-            raise DataError(f"image {image_id!r} has a side above 2^31-1 pixels, the PNG limit")
+        _check_image_size(image_id, width, height)
         images[image_id] = entry
         keys.add(str(image_id))
     persons = []

@@ -59,6 +59,7 @@ and > 0.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import json
@@ -636,16 +637,27 @@ class ExternalOracle(CoalitionValueOracle):
             pipe.close()
 
 
+@functools.cache
+def _byte_indices(p: int) -> tuple[str, ...]:
+    """For each byte value b, the comma-joined keypoint indices 8 p + i of
+    b's set bits: the "visible" text of a mask's byte p. One table per byte
+    position, so at most ceil(n / 8) of them."""
+    return tuple(",".join([str(8 * p + i) for i in range(8) if b >> i & 1]) for b in range(256))
+
+
 def _request_lines(ids: list[str], trial: int, masks: list[int], f64: bool = False) -> str:
     """The eval request lines of a batch, each byte for byte the _json_line
     of {"op": "eval", "instances": ids, "visible": [...], "trial": trial},
     plus "reply": "f64" if ``f64``, and a newline: one sorted-key prefix per
-    batch, then each mask's keypoint indices."""
+    batch, then each mask's keypoint indices, looked up a byte at a time;
+    a byte with no bit set adds nothing."""
     reply = '"reply":"f64",' if f64 else ""
     head = f'{{"instances":{_json_line(ids)},"op":"eval",{reply}"trial":{_json_line(trial)}'
     head += ',"visible":['
+    width = (max(masks, default=0).bit_length() + 7) // 8
+    tables = [_byte_indices(p) for p in range(width)]
     return "".join(
-        head + ",".join([str(i) for i in range(m.bit_length()) if m >> i & 1]) + "]}\n"
+        head + ",".join([t[b] for t, b in zip(tables, m.to_bytes(width, "little")) if b]) + "]}\n"
         for m in masks
     )
 
@@ -672,10 +684,17 @@ def _f64_sized(msg: dict, n: int) -> bool:
 
 def _hex_row(digits, n: int) -> np.ndarray:
     """The n values of an f64 reply's hex digits; ValueError unless they
-    are exactly 16 n hex digits (bytes.fromhex alone would skip spaces)."""
-    if not isinstance(digits, str) or len(digits) != 16 * n or not digits.isalnum():
-        raise ValueError(f"f64 row {digits!r:.80} is not {16 * n} hex digits")
-    return np.frombuffer(bytes.fromhex(digits), "<f8")
+    are exactly 16 n hex digits. bytes.fromhex refuses any other character,
+    non-ASCII digits included, but skips ASCII whitespace, so a string of
+    16 n characters that holds any decodes to fewer than 8 n bytes."""
+    if isinstance(digits, str) and len(digits) == 16 * n:
+        try:
+            raw = bytes.fromhex(digits)
+        except ValueError:
+            raw = b""
+        if len(raw) == 8 * n:
+            return np.frombuffer(raw, "<f8")
+    raise ValueError(f"f64 row {digits!r:.80} is not {16 * n} hex digits")
 
 
 def _parse_request(raw, n: int) -> tuple:

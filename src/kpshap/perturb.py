@@ -156,11 +156,11 @@ def delta_perf_matrix(
         oracle.eval_many(instances, masks, mix64("delta-trial", seed, t)) for t in range(m)
     ]
 
-    baseline = np.mean([sweep[0] for sweep in sweeps], axis=0)
-    drops = np.zeros((n, n), dtype=np.float64)
-    for j in range(n):
-        perturbed = np.mean([sweep[j + 1] for sweep in sweeps], axis=0)
-        drops[:, j] = np.maximum(0.0, baseline - perturbed)
+    mean = np.mean(sweeps, axis=0)
+    baseline = mean[0]
+    # column j of drops is row j + 1 of mean; the transpose is F-ordered,
+    # and perturbation_influence's row sums round differently over that
+    drops = np.ascontiguousarray(np.maximum(0.0, baseline[:, None] - mean[1:].T))
     return DeltaMatrix(oracle.schema.names, baseline, drops)
 
 

@@ -115,6 +115,19 @@ def test_unlabeled_out_of_bounds_is_fine(schema):
     assert parse_annotations(doc, schema)[0].visible_count() == 16
 
 
+@pytest.mark.parametrize("size", [(10**400, 10), (10, 2**31)], ids=["width", "height"])
+def test_person_refuses_an_image_side_beyond_png(schema, expected_grouping, size):
+    # built directly, not read by parse_annotations: the same PNG limit holds,
+    # so plan_gkr never meets a side that overflows its float arithmetic
+    kps = tuple((1.0, 1.0, 2) for _ in range(schema.n))
+    with pytest.raises(DataError, match=r"^image 0 has a side above 2\^31-1 pixels"):
+        PersonAnnotation(0, 1, "a.png", *size, kps)
+    side = 2**31 - 1  # the limit itself plans
+    person = person_all_visible(schema, side, side)
+    plan = plan_gkr(person, expected_grouping, cfg_for(expected_grouping, keep=0.0))
+    assert len(plan.rects) == expected_grouping.g
+
+
 # --- plan_gkr ---------------------------------------------------------------
 
 

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kpshap import (
+    CoalitionValueOracle,
     DataError,
     DeltaMatrix,
     SyntheticOracle,
@@ -11,6 +12,7 @@ from kpshap import (
     canonical_name,
     delta_perf_matrix,
     gen_masks,
+    mix64,
     oracle_table_from_delta,
     perturbation_influence,
     read_delta_csv,
@@ -107,6 +109,46 @@ def test_delta_trials_average_noise():
     err_few = np.abs(few.baseline - clean.baseline).max()
     err_many = np.abs(many.baseline - clean.baseline).max()
     assert err_many < err_few
+
+
+class RandomRows(CoalitionValueOracle):
+    """Answers each (mask, trial) with its own uniform row in [0, 1)."""
+
+    def _eval_many(self, instances, masks, trial):
+        n = self.schema.n
+        return np.array([np.random.default_rng([m, trial]).random(n) for m in masks])
+
+
+def reference_delta(oracle, m, seed):
+    """delta_perf_matrix's baseline and drops, averaged one column at a time."""
+    n = oracle.schema.n
+    full = (1 << n) - 1
+    masks = [full] + [full & ~(1 << j) for j in range(n)]
+    sweeps = [oracle.eval_many("all", masks, mix64("delta-trial", seed, t)) for t in range(m)]
+    baseline = np.mean([sweep[0] for sweep in sweeps], axis=0)
+    drops = np.zeros((n, n), dtype=np.float64)
+    for j in range(n):
+        perturbed = np.mean([sweep[j + 1] for sweep in sweeps], axis=0)
+        drops[:, j] = np.maximum(0.0, baseline - perturbed)
+    return baseline, drops
+
+
+@given(st.sampled_from([2, 3, 17, 133]), st.sampled_from([1, 2, 3, 5, 8, 13]), st.integers(0, 99))
+@settings(max_examples=30, deadline=None)
+def test_delta_trials_average_as_the_column_loop(n, m, seed):
+    oracle = RandomRows(tiny_schema(n))
+    baseline, drops = reference_delta(oracle, m, seed)
+    delta = delta_perf_matrix(oracle, m=m, seed=seed)
+    assert np.array_equal(delta.baseline.view(np.uint64), baseline.view(np.uint64))
+    assert np.array_equal(delta.drops.view(np.uint64), drops.view(np.uint64))
+    # perturbation_influence sums the rows; over an F-ordered copy they round
+    # differently, so the drops must be laid out as the loop's
+    assert delta.drops.flags.c_contiguous
+    sums = drops.sum(axis=1)
+    assert np.array_equal(delta.drops.sum(axis=1).view(np.uint64), sums.view(np.uint64))
+    if np.all(sums > 0.0):
+        want = perturbation_influence(DeltaMatrix(delta.names, baseline, drops))
+        assert np.array_equal(perturbation_influence(delta).view(np.uint64), want.view(np.uint64))
 
 
 def test_fixture_roundtrip_through_oracle(schema, table2_delta):

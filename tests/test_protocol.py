@@ -550,15 +550,22 @@ def test_serve_refuses_requests_it_would_have_to_coerce():
 # --- the wire codec -------------------------------------------------------
 
 
-@settings(max_examples=200, deadline=None)
-@given(
-    st.integers(1, 20).flatmap(
-        lambda n: st.tuples(st.just(n), st.lists(st.integers(0, (1 << n) - 1), max_size=6))
-    ),
-    st.one_of(st.just(["all"]), st.lists(st.text(max_size=8), min_size=1, max_size=3)),
-    st.integers(-(1 << 63), (1 << 63) - 1),
+# (n, masks): up to 20 keypoints, and the 64, 65 and 133 where a mask spans
+# a whole number of bytes, one bit more, and the whole-body layout
+sized_masks = st.one_of(st.integers(1, 20), st.sampled_from([64, 65, 133])).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(st.integers(0, (1 << n) - 1), max_size=6))
 )
+# the empty coalition, and masks whose middle bytes are all zero
+SPARSE_MASKS = [(17, [0, 1 | 1 << 16]), (133, [0, 1 | 1 << 132, 1 << 64])]
+request_ids = st.one_of(st.just(["all"]), st.lists(st.text(max_size=8), min_size=1, max_size=3))
+trials = st.integers(-(1 << 63), (1 << 63) - 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(sized_masks, request_ids, trials)
 @example((17, [0, 5]), ['q"uote', "back\\slash", "nicht-ASCII: ÿ€😀"], (1 << 63) - 1)
+@example(SPARSE_MASKS[0], ["all"], 0)
+@example(SPARSE_MASKS[1], ["all"], 0)
 def test_request_lines_are_the_json_lines(sized, ids, trial):
     n, masks = sized
     masks = masks + [(1 << n) - 1]
@@ -811,13 +818,18 @@ NAN_ROW = struct.pack("<3d", math.nan, 0.0, 0.0).hex()
         '{"f64":"' + "ff" * 24 + '"}',
         '{"f64":5}',
         '{"f64":["' + "00" * 24 + '"]}',
+        # digits that str.isalnum passes and bytes.fromhex refuses: full-width
+        # and Arabic-Indic zeros, as many characters as a row has digits
+        '{"f64":"' + "\uff10" * 48 + '"}',
+        '{"f64":"' + "\u0660" * 48 + '"}',
         # the values replies that end the same way
         '{"values":"abc"}',
         '{"values":[NaN,0.0,0.0]}',
     ],
     ids=[
         "short", "long", "not-hex", "whitespace", "two-values", "nan", "all-ones",
-        "number", "list", "values-not-a-list", "values-nan",
+        "number", "list", "full-width-digits", "arabic-indic-digits",
+        "values-not-a-list", "values-nan",
     ],
 )
 def test_malformed_f64_replies_are_data_errors_like_malformed_values(tmp_path, reply):
@@ -827,11 +839,15 @@ def test_malformed_f64_replies_are_data_errors_like_malformed_values(tmp_path, r
         sys.stdout.flush()
         continue"""
     remote, _ = logging_oracle(tmp_path / "child", {"replies": ["f64"]}, act)
+    digits = json.loads(reply).get("f64")
     with remote:
         for masks in ([7, 2, 3], [2]):
             with pytest.raises(DataError) as exc:
                 remote.eval_many("all", masks, 0)
             assert type(exc.value) is DataError and exc.value.code == "data"
+            if isinstance(digits, str) and len(digits) == 48 and not digits.isascii():
+                # refused as that row, in a batch as alone
+                assert f"f64 row {digits!r:.20}" in str(exc.value)
         # the stream stayed in step: the next batch gets its own replies
         assert np.array_equal(remote.eval_many("all", [3, 4], 0), indicator_rows([3, 4]))
 
@@ -853,19 +869,18 @@ def test_f64_rows_of_the_wrong_length_are_not_read_as_one_batch(tmp_path):
 
 
 @settings(max_examples=50, deadline=None)
-@given(
-    st.lists(st.integers(0, (1 << 17) - 1), max_size=6),
-    st.one_of(st.just(["all"]), st.lists(st.text(max_size=8), min_size=1, max_size=3)),
-    st.integers(-(1 << 63), (1 << 63) - 1),
-)
-def test_f64_request_lines_are_the_json_lines(masks, ids, trial):
+@given(sized_masks, request_ids, trials)
+@example(SPARSE_MASKS[0], ["all"], 0)
+@example(SPARSE_MASKS[1], ["all"], 0)
+def test_f64_request_lines_are_the_json_lines(sized, ids, trial):
+    n, masks = sized
     want = "".join(
         _json_line(
             {
                 "op": "eval",
                 "instances": ids,
                 "reply": "f64",
-                "visible": [i for i in range(17) if m >> i & 1],
+                "visible": [i for i in range(n) if m >> i & 1],
                 "trial": trial,
             }
         )

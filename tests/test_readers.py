@@ -193,6 +193,7 @@ def test_csv_cell_over_field_limit_is_data_error(tmp_path, name):
         ("read_plans", PLAN_LINE.replace(b"[0,0,1,1]", b"[0,0,1]")),
         ("parse_annotations", annotations_doc({**IMAGE, "width": 10**400})),
         ("parse_annotations", annotations_doc({**IMAGE, "height": 2**31})),
+        ("parse_annotations", annotations_doc({**IMAGE, "width": 0})),
     ],
     ids=[
         "text-count",
@@ -235,6 +236,7 @@ def test_csv_cell_over_field_limit_is_data_error(tmp_path, name):
         "rect-of-three",
         "width-beyond-png",
         "height-beyond-png",
+        "width-zero",
     ],
 )
 def test_well_formed_json_of_the_wrong_shape_is_data_error(tmp_path, name, content):
