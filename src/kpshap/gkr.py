@@ -68,9 +68,6 @@ class PersonAnnotation:
                     code="out-of-bounds",
                 )
 
-    def visible_count(self) -> int:
-        return sum(1 for _, _, v in self.keypoints if v > 0)
-
 
 def parse_annotations(source, schema: KeypointSchema) -> list[PersonAnnotation]:
     """Read a COCO-style person keypoints document (path, JSON text or dict)."""

@@ -61,9 +61,6 @@ class Grouping:
                 return k
         raise DataError(f"index {i} not in grouping")
 
-    def sizes(self) -> tuple[int, ...]:
-        return tuple(len(grp) for grp in self.groups)
-
     def to_json_dict(self, schema: KeypointSchema) -> dict:
         if schema.n != self.n:
             raise DataError(f"grouping over n={self.n}, schema has n={schema.n}")

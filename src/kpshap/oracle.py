@@ -470,7 +470,9 @@ class ExternalOracle(CoalitionValueOracle):
             hello = self._message(line)
             if hello.get("op") != "hello":
                 raise self._fail(f"expected hello handshake, got {hello!r}")
-            names = tuple(hello.get("names", ()))
+            # no value but a list of strings can equal the schema's names
+            names = hello.get("names")
+            names = tuple(names) if isinstance(names, list) else names
             if hello.get("n") != schema.n or names != schema.names:
                 raise OracleError(
                     f"oracle schema mismatch: child has n={hello.get('n')} names={names}, "
@@ -605,13 +607,14 @@ class ExternalOracle(CoalitionValueOracle):
                 raise OracleError(f"oracle reported: {msg['error']}")
             if "values" not in msg and not (self._f64 and "f64" in msg):
                 raise OracleError(f"oracle response missing 'values': {msg!r}", code="oracle-io")
-        try:
-            return np.array(
-                [msg["values"] if "values" in msg else _hex_row(msg["f64"], n) for msg in replies],
-                dtype=np.float64,
-            )
-        except (TypeError, ValueError) as e:
-            raise DataError(f"oracle sent malformed values: {e}") from None
+        rows = []
+        for r, msg in enumerate(replies):
+            try:
+                row = _values_row(msg["values"], n) if "values" in msg else _hex_row(msg["f64"], n)
+            except ValueError as e:
+                raise DataError(f"oracle sent malformed values in reply {r}: {e}") from None
+            rows.append(row)
+        return np.array(rows, dtype=np.float64)
 
     def describe(self) -> str:
         return "external:" + " ".join(self.command)
@@ -680,6 +683,17 @@ def _f64_sized(msg: dict, n: int) -> bool:
     """Whether ``msg`` is {"f64": s} with s as long as the hex of n values, so
     that a batch of such rows can be read as one."""
     return msg.keys() == {"f64"} and isinstance(msg["f64"], str) and len(msg["f64"]) == 16 * n
+
+
+def _values_row(row, n: int) -> list[float]:
+    """The n values of a values reply; ValueError unless they are n JSON
+    numbers, not bools or strings, that a float holds."""
+    if isinstance(row, list) and len(row) == n and all(type(v) in (float, int) for v in row):
+        try:
+            return [float(v) for v in row]
+        except OverflowError:
+            pass
+    raise ValueError(f"values row {row!r:.80} is not {n} numbers")
 
 
 def _hex_row(digits, n: int) -> np.ndarray:

@@ -11,12 +11,12 @@ A player is a set of keypoints shown or hidden together, and its game is
 the mean performance of its keypoints: one keypoint per player inside a
 group, one group per player across groups (the Owen value's coalition
 structure). The stages, their players and labels are listed in one place
-(``_stages``), and every stage is priced the same way, from one row of
-coalition values per player. A full run submits consecutive small stages
-together as one ``eval_many`` batch of at most ``_PACK_ROWS`` coalitions, and
-a larger stage as a batch of its own. The oracle sees each stage coalition
-exactly once no matter how many targets it serves, and the budget is the
-summed stage sizes.
+(``_stages``). A run has two steps. ``stage_tables`` prices every stage from
+one row of coalition values per player, submitting consecutive small stages
+as one ``eval_many`` batch of at most ``_PACK_ROWS`` coalitions and a larger
+stage as a batch of its own; the oracle sees each stage coalition once, and
+the budget is the summed stage sizes. ``combined_attribution`` then combines
+the stage tables into one n x n attribution.
 """
 
 from __future__ import annotations
@@ -33,8 +33,8 @@ from .skeleton import KeypointSchema
 
 MAX_PLAYERS = 20
 
-# run_group_attribution packs consecutive stages into one eval_many while the
-# batch holds at most this many coalitions. Over the wire each batch costs
+# stage_tables packs consecutive stages into one eval_many while the batch
+# holds at most this many coalitions. Over the wire each batch costs
 # about 0.45 ms of CPU (client and child, 2-vCPU host) on top of its rows,
 # small next to 256 rows of work, and a 256-row batch at n=133 holds only
 # 272 KB of values.
@@ -191,15 +191,6 @@ def _stages(grouping: Grouping, names) -> list[tuple[tuple, tuple]]:
     return stages + [(grouping.groups, tuple(group_label(h) for h in range(grouping.g)))]
 
 
-def _oracle_stages(oracle, grouping: Grouping) -> list[tuple[tuple, tuple]]:
-    """``_stages`` labelled by the oracle's keypoint names, refusing a
-    grouping over another keypoint count before any oracle call."""
-    n = oracle.schema.n
-    if grouping.n != n:
-        raise DataError(f"grouping over n={grouping.n}, oracle schema has n={n}")
-    return _stages(grouping, oracle.schema.names)
-
-
 def _coalitions(players, n: int) -> list[int]:
     """The 2^k coalitions of a stage; bit j of a coalition's index shows
     players[j], and every keypoint outside the players stays visible."""
@@ -255,44 +246,6 @@ def _packs(sizes) -> list[range]:
         rows += size
     packs.append(range(start, len(sizes)))
     return packs
-
-
-def intra_group_shapley(
-    oracle: CoalitionValueOracle,
-    grouping: Grouping,
-    target: int,
-    instances="all",
-    trial: int = 0,
-) -> ShapleyTable:
-    """Shapley values of the target over its own group.
-
-    The conditional game keeps every out-of-group keypoint visible and varies
-    only the group members, reading off the target's performance component.
-    """
-    stages = _oracle_stages(oracle, grouping)
-    k = grouping.group_of(target)
-    stage = stages[k]
-    tables = _price_batch(oracle, [(stage, _coalitions(stage[0], grouping.n))], instances, trial)
-    return tables[0][grouping.groups[k].index(target)]
-
-
-def group_shapley(
-    oracle: CoalitionValueOracle,
-    grouping: Grouping,
-    target_group: int,
-    instances="all",
-    trial: int = 0,
-) -> ShapleyTable:
-    """Shapley values of whole groups for one target group.
-
-    Players are the groups; a coalition's value is the mean performance of
-    the target group's members when exactly those groups are visible.
-    """
-    if not 0 <= target_group < grouping.g:
-        raise DataError(f"target group {target_group} out of range")
-    stage = _oracle_stages(oracle, grouping)[-1]
-    tables = _price_batch(oracle, [(stage, _coalitions(stage[0], grouping.n))], instances, trial)
-    return tables[0][target_group]
 
 
 def normalize_nonneg(values) -> np.ndarray:
@@ -447,22 +400,21 @@ def combined_attribution(
     )
 
 
-def run_group_attribution(
+def stage_tables(
     oracle: CoalitionValueOracle,
     grouping: Grouping,
     instances="all",
     trial: int = 0,
-    split_mode: str = "uniform",
-) -> tuple[AttributionReport, QueryBudget]:
-    """Full coarse-to-fine run over every keypoint and group.
-
-    Each stage is evaluated once and shared by all the tables it serves, so
-    oracle calls are the summed stage sizes and match query_count(grouping)
-    exactly; distinct coalitions are the size of the stages' union. Small
-    consecutive stages share one batch (``_packs``).
-    """
-    stages = _oracle_stages(oracle, grouping)
-    schema, n = oracle.schema, grouping.n
+) -> tuple[list[ShapleyTable], list[ShapleyTable], QueryBudget]:
+    """Price every stage: one intra table per keypoint (over its group's
+    members), one group table per group (over all groups), and the budget.
+    Oracle calls match query_count(grouping); distinct coalitions are the
+    size of the stages' union. A grouping over another keypoint count is
+    refused before any oracle call."""
+    n = oracle.schema.n
+    if grouping.n != n:
+        raise DataError(f"grouping over n={grouping.n}, oracle schema has n={n}")
+    stages = _stages(grouping, oracle.schema.names)
     bits = [_coalitions(players, n) for players, _ in stages]
     priced = []
     for pack in _packs([len(b) for b in bits]):
@@ -471,7 +423,19 @@ def run_group_attribution(
     for members, tables in zip(grouping.groups, priced):
         for i, table in zip(members, tables):
             intra_tables[i] = table
-
-    report = combined_attribution(schema, grouping, intra_tables, priced[-1], split_mode)
     distinct = set().union(*bits)
-    return report, QueryBudget(len(distinct), sum(len(b) for b in bits))
+    return intra_tables, priced[-1], QueryBudget(len(distinct), sum(len(b) for b in bits))
+
+
+def run_group_attribution(
+    oracle: CoalitionValueOracle,
+    grouping: Grouping,
+    instances="all",
+    trial: int = 0,
+    split_mode: str = "uniform",
+) -> tuple[AttributionReport, QueryBudget]:
+    """Full coarse-to-fine run over every keypoint and group: the stages
+    priced by ``stage_tables``, then combined by ``combined_attribution``."""
+    intra_tables, group_tables, budget = stage_tables(oracle, grouping, instances, trial)
+    report = combined_attribution(oracle.schema, grouping, intra_tables, group_tables, split_mode)
+    return report, budget

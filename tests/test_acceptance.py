@@ -29,14 +29,13 @@ from kpshap import (
     delta_perf_matrix,
     exact_query_count,
     exact_shapley,
-    group_shapley,
     interdependency,
-    intra_group_shapley,
     keypoint_connectivity,
     perturbation_influence,
     plan_gkr,
     query_count,
     run_group_attribution,
+    stage_tables,
     write_delta_csv,
 )
 from kpshap.cli import main
@@ -93,14 +92,14 @@ def test_criterion_2_group_stage_equivalence():
         sweep = np.empty((1 << n, n))
         for mask in range(1 << n):
             sweep[mask] = oracle.eval("all", Coalition(mask, n))
+        intra_tables, group_tables, _ = stage_tables(oracle, grouping)
         for target in range(n):
             members = grouping.groups[grouping.group_of(target)]
-            intra = intra_group_shapley(oracle, grouping, target)
+            intra = intra_tables[target]
             full = exact_shapley(sweep[:, target])
             for pos, j in enumerate(members):
                 worst_intra = max(worst_intra, abs(intra.phi[pos] - full.phi[j]))
-        for h in range(grouping.g):
-            table = group_shapley(oracle, grouping, h)
+        for h, table in enumerate(group_tables):
             for k in range(grouping.g):
                 if k != h:
                     worst_off = max(worst_off, abs(table.phi[k]))

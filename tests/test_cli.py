@@ -388,6 +388,34 @@ def test_bad_oracle_timeout_exit_4(fixtures_dir, tmp_path, flag):
     assert not (tmp_path / "d.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "names, reply, code, message",
+    [
+        (None, "0.5", 4, "error(schema-mismatch): oracle schema mismatch: child has n=17 names=None"),
+        ("schema", "1" + "0" * 400, 3, "error(data): oracle sent malformed values in reply 0: "),
+        ("schema", "true", 3, "error(data): oracle sent malformed values in reply 0: "),
+    ],
+    ids=["hello-names-null", "values-huge-int", "values-bool"],
+)
+def test_malformed_child_exits_with_its_code(capsys, tmp_path, names, reply, code, message):
+    # each reply holds 17 copies of ``reply``; both failures were tracebacks
+    if names == "schema":
+        names = list(default_schema()[0].names)
+    script = tmp_path / "child.py"
+    script.write_text(
+        "import json, sys\n"
+        f"print(json.dumps({{'op': 'hello', 'n': 17, 'names': {names!r}}}), flush=True)\n"
+        "for line in sys.stdin:\n"
+        f"    print('{{\"values\":[' + ','.join([{reply!r}] * 17) + ']}}', flush=True)\n"
+    )
+    argv = ["interdep", "--oracle-cmd", f"{sys.executable} {script}"]
+    argv += ["--out-delta", str(tmp_path / "d.csv"), "--out-pi", str(tmp_path / "pi.csv")]
+    got, _, err = run(capsys, *argv)
+    assert got == code, err
+    assert err.startswith(message) and "Traceback" not in err
+    assert not (tmp_path / "d.csv").exists()
+
+
 def test_duplicate_instance_ids_exit_3(capsys, fixtures_dir, tmp_path):
     code, _, err = run(
         capsys,

@@ -81,7 +81,6 @@ def test_grouping_from_sets_normalizes_order():
     assert g.groups == ((0, 1), (2,))
     assert g.g == 2
     assert g.group_of(2) == 1
-    assert g.sizes() == (2, 1)
 
 
 def test_grouping_json_roundtrip(schema, expected_grouping, tmp_path):

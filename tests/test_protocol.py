@@ -3,6 +3,7 @@
 import io
 import json
 import math
+import os
 import struct
 import subprocess
 import sys
@@ -764,6 +765,29 @@ def test_client_sends_plain_request_bytes_to_a_child_without_f64(tmp_path, extra
     )
 
 
+@pytest.mark.parametrize(
+    "names",
+    [None, 5, {"k0": 0, "k1": 1, "k2": 2}],
+    ids=["null", "number", "dict"],
+)
+def test_malformed_hello_names_stop_the_child(tmp_path, names):
+    # names must be a list: tuple() of a dict of the right names equals them
+    script, pid_file = tmp_path / "child.py", tmp_path / "pid"
+    hello = {"op": "hello", "n": 3, "names": names}
+    script.write_text(
+        "import json, os, sys\n"
+        f"open({str(pid_file)!r}, 'w').write(str(os.getpid()))\n"
+        f"print(json.dumps({hello!r}), flush=True)\n"
+        "sys.stdin.read()\n"
+    )
+    with pytest.raises(OracleError) as exc:
+        ExternalOracle([sys.executable, str(script)], tiny_schema(), timeout=10.0)
+    assert exc.value.code == "schema-mismatch"
+    assert f"child has n=3 names={names}, expected" in str(exc.value)
+    with pytest.raises(ProcessLookupError):
+        os.kill(int(pid_file.read_text()), 0)
+
+
 def test_client_opts_in_when_the_hello_offers_f64(tmp_path):
     masks = [7, 0, 5, 2]
     remote, log = logging_oracle(tmp_path / "child", {"replies": ["f32", "f64"]})
@@ -825,11 +849,18 @@ NAN_ROW = struct.pack("<3d", math.nan, 0.0, 0.0).hex()
         # the values replies that end the same way
         '{"values":"abc"}',
         '{"values":[NaN,0.0,0.0]}',
+        # JSON numbers only: no numeric string or bool read as a number, and
+        # no integer that a float cannot hold
+        '{"values":["0.5",true,0.25]}',
+        '{"values":[0.5,true,0.25]}',
+        '{"values":[1' + "0" * 400 + ',0.0,0.0]}',
+        '{"values":[0.5,0.25]}',
     ],
     ids=[
         "short", "long", "not-hex", "whitespace", "two-values", "nan", "all-ones",
         "number", "list", "full-width-digits", "arabic-indic-digits",
-        "values-not-a-list", "values-nan",
+        "values-not-a-list", "values-nan", "values-string", "values-bool",
+        "values-huge-int", "values-short",
     ],
 )
 def test_malformed_f64_replies_are_data_errors_like_malformed_values(tmp_path, reply):
@@ -845,6 +876,8 @@ def test_malformed_f64_replies_are_data_errors_like_malformed_values(tmp_path, r
             with pytest.raises(DataError) as exc:
                 remote.eval_many("all", masks, 0)
             assert type(exc.value) is DataError and exc.value.code == "data"
+            if "malformed" in str(exc.value):
+                assert f"malformed values in reply {masks.index(2)}: " in str(exc.value)
             if isinstance(digits, str) and len(digits) == 48 and not digits.isascii():
                 # refused as that row, in a batch as alone
                 assert f"f64 row {digits!r:.20}" in str(exc.value)

@@ -23,13 +23,12 @@ from kpshap import (
     combined_attribution,
     exact_query_count,
     exact_shapley,
-    group_shapley,
-    intra_group_shapley,
     load_schema,
     normalize_nonneg,
     query_count,
     read_game_csv,
     run_group_attribution,
+    stage_tables,
     write_game_csv,
 )
 from kpshap.shapley import _group_means, _tables
@@ -229,9 +228,10 @@ def separable_oracle(sizes, seed):
 def test_intra_stage_matches_full_exact_on_separable_game():
     oracle, grouping, _ = separable_oracle([3, 2], seed=5)
     n = 5
+    intra_tables, _, _ = stage_tables(oracle, grouping)
     for target in range(n):
         members = grouping.groups[grouping.group_of(target)]
-        intra = intra_group_shapley(oracle, grouping, target)
+        intra = intra_tables[target]
         full = exact_shapley(
             sweep(lambda m, t=target: float(oracle.eval("all", Coalition(m, n))[t]), n)
         )
@@ -244,8 +244,8 @@ def test_intra_stage_matches_full_exact_on_separable_game():
 
 def test_group_stage_off_diagonal_zero_on_separable_game():
     oracle, grouping, _ = separable_oracle([2, 3], seed=8)
-    for h in range(grouping.g):
-        table = group_shapley(oracle, grouping, h)
+    _, group_tables, _ = stage_tables(oracle, grouping)
+    for h, table in enumerate(group_tables):
         for k in range(grouping.g):
             if k != h:
                 assert abs(table.phi[k]) <= 1e-9
@@ -284,6 +284,15 @@ def test_run_group_attribution_simplex_rows(schema, expected_grouping, synthetic
     assert np.allclose(report.sigma.sum(axis=1), 1.0, atol=1e-9)
     assert budget.oracle_calls == 96
     assert budget.distinct_coalitions == 86  # stages overlap on full and N\G_k
+
+
+def test_stage_tables_are_the_report_tables(schema, expected_grouping, synthetic_config):
+    counter = CountingOracle(SyntheticOracle(synthetic_config, schema))
+    intra, group, budget = stage_tables(counter, expected_grouping, trial=1)
+    assert (counter.calls, len(counter.coalitions)) == (96, 86)
+    assert budget == QueryBudget(distinct_coalitions=86, oracle_calls=96)
+    report, run_budget = run_group_attribution(counter, expected_grouping, trial=1)
+    assert (intra, group, budget) == (list(report.intra_tables), list(report.group_tables), run_budget)
 
 
 def test_split_modes_differ(schema, expected_grouping, synthetic_config):
@@ -400,12 +409,16 @@ def stage_masks(grouping):
 
 
 def assert_priced_stage_by_stage(report, oracle, grouping, trial=0):
-    """Each stage priced from its slice of a packed batch exactly as from a
-    batch of its own."""
-    for i in range(grouping.n):
-        assert report.intra_tables[i] == intra_group_shapley(oracle, grouping, i, trial=trial)
-    for h in range(grouping.g):
-        assert report.group_tables[h] == group_shapley(oracle, grouping, h, trial=trial)
+    """Each stage priced from its slice of a packed batch exactly as the
+    per-stage branch prices it from a batch of its own."""
+    names = oracle.schema.names
+    want = [
+        branch_price_stage(names, grouping, k, oracle.eval_many("all", masks, trial))
+        for k, masks in enumerate(stage_masks(grouping))
+    ]
+    for members, tables in zip(grouping.groups, want):
+        assert [report.intra_tables[i] for i in members] == tables
+    assert list(report.group_tables) == want[-1]
 
 
 def linear_oracle(n):
@@ -463,12 +476,12 @@ def test_partial_table_misses_the_coalition_stage_by_stage_misses(
     del table[stages[-1][3]], table[first_missing]
     oracle = TabularOracle(schema, table)
     with pytest.raises(MissingCoalitionError) as alone:
-        for members in expected_grouping.groups:
-            intra_group_shapley(oracle, expected_grouping, members[0])
-        group_shapley(oracle, expected_grouping, 0)
-    with pytest.raises(MissingCoalitionError) as packed:
-        run_group_attribution(oracle, expected_grouping)
-    assert str(packed.value) == str(alone.value) == f"no value for coalition {first_missing:#x}"
+        for masks in stages:
+            oracle.eval_many("all", masks)
+    for price in (stage_tables, run_group_attribution):
+        with pytest.raises(MissingCoalitionError) as packed:
+            price(oracle, expected_grouping)
+        assert str(packed.value) == str(alone.value) == f"no value for coalition {first_missing:#x}"
 
 
 # --- table and grouping must agree ----------------------------------------
@@ -536,12 +549,8 @@ def test_combined_attribution_refuses_a_grouping_of_another_size(
 @pytest.mark.parametrize("n", [16, 20])
 @pytest.mark.parametrize(
     "price",
-    [
-        lambda oracle, grouping: intra_group_shapley(oracle, grouping, 0),
-        lambda oracle, grouping: group_shapley(oracle, grouping, 0),
-        run_group_attribution,
-    ],
-    ids=["intra", "group", "run"],
+    [stage_tables, run_group_attribution],
+    ids=["stages", "run"],
 )
 def test_pricing_refuses_a_grouping_of_another_size_before_any_call(
     schema, synthetic_config, n, price
@@ -734,19 +743,7 @@ def test_one_pricing_path_matches_the_per_stage_branch(groups):
     n = max(max(grp) for grp in groups) + 1
     grouping = Grouping.from_sets(groups, n)
     oracle = random_oracle(n, n)
-    names = oracle.schema.names
-    want = [
-        branch_price_stage(names, grouping, k, oracle.eval_many("all", masks, 2))
-        for k, masks in enumerate(stage_masks(grouping))
-    ]
-    intra = [None] * n
-    for members, tables in zip(grouping.groups, want):
-        for i, table in zip(members, tables):
-            intra[i] = table
     report, _ = run_group_attribution(oracle, grouping, trial=2)
-    assert list(report.intra_tables) == intra
-    assert list(report.group_tables) == want[-1]
-    for members in grouping.groups:
-        assert intra_group_shapley(oracle, grouping, members[-1], trial=2) == intra[members[-1]]
-    for h in range(grouping.g):
-        assert group_shapley(oracle, grouping, h, trial=2) == want[-1][h]
+    assert_priced_stage_by_stage(report, oracle, grouping, trial=2)
+    intra, group, _ = stage_tables(oracle, grouping, trial=2)
+    assert (intra, group) == (list(report.intra_tables), list(report.group_tables))
