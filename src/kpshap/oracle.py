@@ -49,8 +49,14 @@ row's n little-endian IEEE-754 binary64 values, 8 bytes each, in hex, so
 ``np.frombuffer(bytes.fromhex(s), "<f8")`` reads it back bit for bit. It
 spares both ends the shortest round-trip decimal printing and parsing of
 every float. ExternalOracle asks for it only when the hello lists it, and
-reads a batch of such lines with one fromhex; ``serve`` answers a request
-for any other reply form than "values" or "f64" with an error.
+reads a batch of such lines, each in that minimal form, with one JSON decode
+and one bytes.fromhex; any other batch it reads a line at a time. ``serve``
+answers a request for any other reply form than "values" or "f64" with an
+error.
+
+A reply line beyond its batch ends the child: ExternalOracle refuses bytes
+after a batch's last reply line and bytes already readable before a batch's
+first request is written, which would be read as the next request's reply.
 
 The client's timeout bounds each wait for progress on the pipes (request
 bytes written or reply bytes read), not a whole batch; it must be finite
@@ -452,7 +458,6 @@ class ExternalOracle(CoalitionValueOracle):
             raise OracleError("empty oracle command", code="oracle-io")
         self.command = argv
         self.timeout = timeout
-        self._buf = b""
         self._stderr = b""
         self._broken: OracleError | None = None
         try:
@@ -523,7 +528,12 @@ class ExternalOracle(CoalitionValueOracle):
 
         The timeout bounds each wait for progress (request bytes written or
         reply bytes read), not the whole exchange. A timeout or a closed or
-        failed pipe ends the child.
+        failed pipe ends the child. So does a reply the client did not ask
+        for, which would otherwise be read as the next request's: bytes
+        after the last reply line, or bytes readable before the first
+        request is written. A stray line that arrives mid-batch, after that
+        check, is counted as a reply; only request ids, echoed in the
+        replies, would close that race.
         """
         if self._broken is not None:
             raise OracleError(
@@ -532,12 +542,17 @@ class ExternalOracle(CoalitionValueOracle):
         proc = self._proc
         stdin, stdout, stderr = proc.stdin, proc.stdout, proc.stderr
         pending = memoryview(requests)
-        if pending:
-            self._sel.register(stdin, selectors.EVENT_WRITE)
-        chunks = [self._buf]
-        lines = self._buf.count(b"\n")
-        deadline = time.monotonic() + self.timeout
+        chunks = []
+        lines = 0
         try:
+            if pending and select.select([stdout], [], [], 0)[0]:
+                stray = os.read(stdout.fileno(), _PIPE_READ)
+                if not stray:
+                    raise self._fail("oracle closed its output (buffered: b'')", self.timeout)
+                raise self._fail(f"oracle sent {stray[:200]!r} before a request")
+            if pending:
+                self._sel.register(stdin, selectors.EVENT_WRITE)
+            deadline = time.monotonic() + self.timeout
             while lines < replies or pending:
                 remaining = deadline - time.monotonic()
                 if remaining <= 0:
@@ -572,7 +587,9 @@ class ExternalOracle(CoalitionValueOracle):
                     deadline = time.monotonic() + self.timeout
         except OSError as e:
             raise self._fail(f"oracle pipe failed: {e}", self.timeout) from e
-        *found, self._buf = b"".join(chunks).split(b"\n", replies)
+        *found, stray = b"".join(chunks).split(b"\n", replies)
+        if stray:
+            raise self._fail(f"oracle sent {stray[:200]!r} after its {replies} reply lines")
         return found
 
     def _message(self, line: bytes) -> dict:
@@ -588,14 +605,20 @@ class ExternalOracle(CoalitionValueOracle):
     def _eval_many(self, instances, masks: list[int], trial: int) -> np.ndarray:
         """One eval request line per mask, all written while the replies are
         read; an error reply raises once every reply is in, so the stream
-        stays in step and the oracle stays usable. A batch of f64 replies is
-        decoded at once; any other batch one JSON line at a time."""
+        stays in step and the oracle stays usable. A batch of minimal f64
+        lines is read with one JSON decode and one fromhex (_f64_batch); any
+        other batch one JSON line at a time."""
         n = self.schema.n
         if not masks:
             return np.empty((0, n), dtype=np.float64)
         ids = [ALL_INSTANCES] if instances == ALL_INSTANCES else list(instances)
         requests = _request_lines(ids, trial, masks, self._f64).encode()
-        replies = [self._message(line) for line in self._exchange(requests, len(masks))]
+        lines = self._exchange(requests, len(masks))
+        if self._f64:
+            rows = _f64_batch(lines, n)
+            if rows is not None:
+                return rows
+        replies = [self._message(line) for line in lines]
         if self._f64 and all(_f64_sized(msg, n) for msg in replies):
             try:
                 row = _hex_row("".join([msg["f64"] for msg in replies]), n * len(masks))
@@ -683,6 +706,34 @@ def _f64_sized(msg: dict, n: int) -> bool:
     """Whether ``msg`` is {"f64": s} with s as long as the hex of n values, so
     that a batch of such rows can be read as one."""
     return msg.keys() == {"f64"} and isinstance(msg["f64"], str) and len(msg["f64"]) == 16 * n
+
+
+def _f64_batch(lines: list[bytes], n: int) -> np.ndarray | None:
+    """The rows of a batch of reply lines that are all the minimal
+    {"f64":"<16 n hex digits>"}, read with one JSON decode of the lines
+    joined into an array and one fromhex; None for any other batch.
+
+    Each line must be exactly 16 n + 10 bytes, and the array is accepted
+    only if it holds one f64 reply of 16 n digits per line. Such a reply
+    takes at least 16 n + 10 characters of JSON text, and the joined text
+    has exactly that many per line plus the commas and brackets, so no
+    element can take characters from another line: element i is line i.
+    """
+    size = 16 * n + 10
+    if any(len(line) != size for line in lines):
+        return None
+    try:
+        msgs = _decode_reply((b"[" + b",".join(lines) + b"]").decode())
+    except (ValueError, RecursionError):
+        return None
+    if len(msgs) != len(lines) or not all(
+        type(msg) is dict and _f64_sized(msg, n) for msg in msgs
+    ):
+        return None
+    try:
+        return _hex_row("".join([msg["f64"] for msg in msgs]), n * len(lines)).reshape(-1, n)
+    except ValueError:
+        return None
 
 
 def _values_row(row, n: int) -> list[float]:

@@ -21,6 +21,7 @@ the stage tables into one n x n attribution.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -34,10 +35,10 @@ from .skeleton import KeypointSchema
 MAX_PLAYERS = 20
 
 # stage_tables packs consecutive stages into one eval_many while the batch
-# holds at most this many coalitions. Over the wire each batch costs
-# about 0.45 ms of CPU (client and child, 2-vCPU host) on top of its rows,
-# small next to 256 rows of work, and a 256-row batch at n=133 holds only
-# 272 KB of values.
+# holds at most this many coalitions. Over the wire to a synthetic n=17
+# child each batch costs about 0.35 ms of CPU (client and child, 2-vCPU
+# host) on top of its rows, about 30 us each, small next to 256 rows of
+# work, and a 256-row batch at n=133 holds only 272 KB of values.
 _PACK_ROWS = 256
 
 SPLIT_MODES = ("uniform", "proportional")
@@ -113,40 +114,78 @@ def _popcounts(n: int) -> np.ndarray:
     return size
 
 
-def _tables(games: np.ndarray, players, targets) -> list[ShapleyTable]:
-    """Exact Shapley tables of t games over the same players, in one pass.
+# _tables prices as many players at once as keep the gathered block of
+# (target, player, coalition) gains within this many elements, and one
+# player at a time beyond it: a COCO stage of a few players takes one step,
+# and a whole-body stage of 11-12 players keeps the memory of pricing one
+# player alone. Larger blocks were slower from 9 players up (2-vCPU host).
+_PRICE_BLOCK = 16384
 
-    ``games`` is (t, 2^n): row t holds target t's game, one value per
-    coalition bitmask. Each target's weighted gains are summed as their own
-    contiguous row, so pricing t games together rounds exactly as pricing
-    them one at a time.
-    """
-    if not np.all(np.isfinite(games)):
-        raise DataError("game value is non-finite")
-    n = len(players)
-    size = _popcounts(n)
+# _tables keeps the pricing plan of up to this many players once it is
+# built (9 KB at 8 players), where a stage's fixed cost is most of its
+# price. A wider stage, where the gathers dominate, builds its plan a chunk
+# of players at a time, so that the memory it keeps or holds at once stays
+# that of pricing one chunk: 20 players never hold 20 rows of 2^19 indices.
+_PLAN_CACHE_WIDTH = 8
+
+
+def _plan_weights(n: int) -> np.ndarray:
+    """The weight |S|! (n-|S|-1)! / n! of each coalition S of the other n-1
+    players, in the order of _plan_rows."""
     fact = [math.factorial(k) for k in range(n + 1)]
     weight = np.array(
         [fact[k] * fact[n - 1 - k] / fact[n] for k in range(n)], dtype=np.float64
     )
-    masks = np.arange(1 << n, dtype=np.int64)
+    return weight[_popcounts(n - 1)]
+
+
+def _plan_rows(n: int, a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
+    """For each player j in [a, b), the 2^(n-1) coalitions without j in
+    ascending order (coalition k of the others, with a 0 bit put in at j),
+    and the same coalitions with j: two (b - a, 2^(n-1)) int32 arrays."""
+    k = np.arange(1 << (n - 1), dtype=np.int32)
+    bit = (np.int32(1) << np.arange(a, b, dtype=np.int32))[:, None]
+    without = (k & (bit - 1)) | ((k & -bit) << 1)
+    return without, without | bit
+
+
+@functools.cache
+def _plan(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The read-only pricing plan of n <= _PLAN_CACHE_WIDTH players, built
+    on first use: the weights and every player's rows."""
+    plan = (_plan_weights(n), *_plan_rows(n, 0, n))
+    for arr in plan:
+        arr.flags.writeable = False
+    return plan
+
+
+def _tables(games: np.ndarray, players, targets) -> list[ShapleyTable]:
+    """Exact Shapley tables of t games over the same players, in one pass.
+
+    ``games`` is (t, 2^n): row t holds target t's game, one value per
+    coalition bitmask. Each (target, player) row of weighted gains is
+    summed as its own contiguous row, so pricing t games together rounds
+    exactly as pricing them one at a time.
+    """
+    if not np.all(np.isfinite(games)):
+        raise DataError("game value is non-finite")
+    n = len(players)
+    cached = n <= _PLAN_CACHE_WIDTH
+    weights, without, with_j = _plan(n) if cached else (_plan_weights(n), None, None)
+    step = max(1, _PRICE_BLOCK // (max(len(targets), 1) << (n - 1)))
     phi = np.empty((len(targets), n), dtype=np.float64)
-    for j in range(n):
-        without = masks[(masks >> j) & 1 == 0]
-        weighted = weight[size[without]] * (games[:, without | (1 << j)] - games[:, without])
-        # the fancy-indexed columns leave `weighted` F-ordered, and reducing
-        # that across axis 1 adds column by column; over a C-contiguous copy
-        # numpy sums each row pairwise, exactly as np.sum sums it alone
-        phi[:, j] = np.add.reduce(np.ascontiguousarray(weighted), axis=1)
+    for a in range(0, n, step):
+        b = min(a + step, n)
+        wo, wi = (without[a:b], with_j[a:b]) if cached else _plan_rows(n, a, b)
+        weighted = weights * (np.take(games, wi, axis=1) - np.take(games, wo, axis=1))
+        # reducing the last axis of a C-contiguous block sums each (target,
+        # player) row pairwise, exactly as np.sum sums it alone; np.take
+        # gives a C-ordered block, where fancy indexing would not
+        phi[:, a:b] = np.add.reduce(np.ascontiguousarray(weighted), axis=-1)
+    full, empty = games[:, -1].tolist(), games[:, 0].tolist()
     return [
-        ShapleyTable(
-            target=target,
-            players=players,
-            phi=tuple(float(v) for v in phi[t]),
-            value_full=float(games[t, -1]),
-            value_empty=float(games[t, 0]),
-        )
-        for t, target in enumerate(targets)
+        ShapleyTable(target, players, tuple(row), full[t], empty[t])
+        for t, (target, row) in enumerate(zip(targets, phi.tolist()))
     ]
 
 
@@ -209,7 +248,12 @@ def _group_means(values: np.ndarray, players) -> np.ndarray:
     The mean is each coalition's 1-D sum divided by the player's size, which
     is what np.mean of a 1-D row does; a one-keypoint player's row is its
     keypoint's values, except that -0.0 reads as 0.0, as in any numpy sum.
+    When every player is one keypoint, as in a within-group stage, the rows
+    are one gather of those columns plus 0.0, which reads -0.0 the same way.
     """
+    if all(len(members) == 1 for members in players):
+        idx = [members[0] for members in players]
+        return np.ascontiguousarray(values[:, idx].T) + 0.0
     means = np.empty((len(players), len(values)), dtype=np.float64)
     for h, members in enumerate(players):
         # values[:, members] is F-ordered, and reducing it across axis 1 adds
@@ -257,6 +301,17 @@ def normalize_nonneg(values) -> np.ndarray:
             "no positive mass to normalize", code="degenerate-attribution"
         )
     return arr / total
+
+
+def _normalize_rows(rows) -> np.ndarray:
+    """normalize_nonneg of each row of a C-contiguous 2-D array at once.
+    Reducing its last axis sums each row pairwise, exactly as
+    normalize_nonneg sums one row alone."""
+    arr = np.maximum(np.ascontiguousarray(rows, dtype=np.float64), 0.0)
+    total = np.add.reduce(arr, axis=1)
+    if np.any(total <= 0.0):
+        raise DataError("no positive mass to normalize", code="degenerate-attribution")
+    return arr / total[:, None]
 
 
 def _check_trials(trials: int) -> None:
@@ -362,8 +417,16 @@ def combined_attribution(
     for h, table in enumerate(group_tables):
         _check_table(f"group table {h}", table, labels[h], labels)
 
-    intra_norm = [normalize_nonneg(t.phi) for t in intra_tables]
-    psi = np.array([normalize_nonneg(t.phi) for t in group_tables])
+    # the checked intra tables of a group size all have that many entries,
+    # so they are normalized together; intra_norm[i] is keypoint i's row
+    by_size: dict[int, list[int]] = {}
+    for members in grouping.groups:
+        by_size.setdefault(len(members), []).extend(members)
+    intra_norm = [None] * n
+    for keypoints in by_size.values():
+        for i, row in zip(keypoints, _normalize_rows([intra_tables[i].phi for i in keypoints])):
+            intra_norm[i] = row
+    psi = _normalize_rows([t.phi for t in group_tables])
 
     # weight[j]: keypoint j's part of its group's share in a foreign row;
     # uniform, or in proportional mode proportional to the members'
@@ -379,16 +442,12 @@ def combined_attribution(
     # sigma[i, j] = psi[i's group][j's group] * weight[j], except in i's own
     # group, where it is the group's self-share times i's within-group share
     sigma = psi[label][:, label] * weight
-    for h, members in enumerate(map(list, grouping.groups)):
-        sigma[np.ix_(members, members)] = psi[h, h] * np.array([intra_norm[i] for i in members])
+    for h, members in enumerate(grouping.groups):
+        rows = np.array(members, dtype=np.intp)
+        sigma[rows[:, None], rows] = psi[h, h] * np.array([intra_norm[i] for i in members])
     # the fancy-indexed matrix is F-ordered, and reducing that across axis 1
-    # adds column by column; over C-contiguous rows numpy sums each row
-    # pairwise, as normalize_nonneg sums one row alone
-    sigma = np.ascontiguousarray(np.maximum(sigma, 0.0))
-    total = np.add.reduce(sigma, axis=1)
-    if np.any(total <= 0.0):
-        raise DataError("no positive mass to normalize", code="degenerate-attribution")
-    sigma /= total[:, None]
+    # adds column by column; _normalize_rows sums C-contiguous rows
+    sigma = _normalize_rows(sigma)
 
     return AttributionReport(
         names=schema.names,

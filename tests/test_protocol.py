@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import select
 import struct
 import subprocess
 import sys
@@ -836,6 +837,9 @@ NAN_ROW = struct.pack("<3d", math.nan, 0.0, 0.0).hex()
         '{"f64":"' + "00" * 25 + '"}',
         '{"f64":"' + "zz" * 24 + '"}',
         '{"f64":"' + "  " + "00" * 23 + '"}',
+        # as long as a minimal f64 line, so the batch is decoded as one
+        # array, but with a space and one digit too few
+        '{"f64": "' + "0" * 47 + '"}',
         # bytes.fromhex skips spaces: these 48 digits would read as 2 values
         '{"f64":"' + " " * 16 + "00" * 16 + '"}',
         '{"f64":"' + NAN_ROW + '"}',
@@ -857,7 +861,8 @@ NAN_ROW = struct.pack("<3d", math.nan, 0.0, 0.0).hex()
         '{"values":[0.5,0.25]}',
     ],
     ids=[
-        "short", "long", "not-hex", "whitespace", "two-values", "nan", "all-ones",
+        "short", "long", "not-hex", "whitespace", "minimal-length-spaced", "two-values",
+        "nan", "all-ones",
         "number", "list", "full-width-digits", "arabic-indic-digits",
         "values-not-a-list", "values-nan", "values-string", "values-bool",
         "values-huge-int", "values-short",
@@ -899,6 +904,70 @@ def test_f64_rows_of_the_wrong_length_are_not_read_as_one_batch(tmp_path):
         with pytest.raises(DataError, match="malformed values"):
             remote.eval_many("all", [2, 5], 0)
         assert np.array_equal(remote.eval_many("all", [3, 4], 0), indicator_rows([3, 4]))
+
+
+def test_a_row_split_across_lines_is_not_read_as_one_batch(tmp_path):
+    # mask 1's row is split over two lines and mask 4's line carries two rows,
+    # so the batch still has one line per request: the first half-row ends
+    # the child, as it does when the lines are read one at a time
+    act = """\
+    row = struct.pack("<3d", *[1.0 if k in visible else 0.0 for k in range(3)]).hex()
+    if visible == [0]:
+        sys.stdout.write('{"f64":"' + row[:24] + '\\n' + row[24:] + '"}\\n')
+    if visible == [2]:
+        other = struct.pack("<3d", 0.0, 1.0, 0.0).hex()
+        sys.stdout.write('{"f64":"' + other + '"},{"f64":"' + row + '"}\\n')
+    if visible in ([0], [1], [2]):
+        sys.stdout.flush()
+        continue"""
+    remote, _ = logging_oracle(tmp_path / "child", {"replies": ["f64"]}, act)
+    with remote:
+        with pytest.raises(OracleError) as exc:
+            remote.eval_many("all", [1, 2, 4], 0)
+        assert exc.value.code == "oracle-io" and "non-JSON line" in str(exc.value)
+
+
+def test_a_reply_line_beyond_its_batch_ends_the_child(tmp_path):
+    # a stray line written with mask 2's reply would otherwise be read as the
+    # reply to the next request
+    act = """\
+    if visible == [1]:
+        sys.stdout.write('{"values":[0.0,1.0,0.0]}\\n{"values":[0.5,0.5,0.5]}\\n')
+        sys.stdout.flush()
+        continue"""
+    remote, _ = logging_oracle(tmp_path / "child", {}, act)
+    with remote:
+        assert np.array_equal(remote.eval_many("all", [7], 0), indicator_rows([7]))
+        with pytest.raises(OracleError) as exc:
+            remote.eval_many("all", [2], 0)
+        assert exc.value.code == "oracle-io"
+        assert "after its 1 reply lines" in str(exc.value) and "0.5,0.5,0.5" in str(exc.value)
+        with pytest.raises(OracleError, match="unusable"):
+            remote.eval_many("all", [3], 0)
+
+
+def test_a_reply_line_written_between_batches_ends_the_child(tmp_path):
+    # the stray line comes after mask 2's reply has been read: it is found
+    # before the next batch's first request is written
+    go = tmp_path / "go"
+    act = f"""\
+    if visible == [1]:
+        sys.stdout.write('{{"values":[0.0,1.0,0.0]}}\\n')
+        sys.stdout.flush()
+        while not __import__("os").path.exists({str(go)!r}):
+            __import__("time").sleep(0.01)
+        sys.stdout.write('{{"values":[0.5,0.5,0.5]}}\\n')
+        sys.stdout.flush()
+        continue"""
+    remote, _ = logging_oracle(tmp_path / "child", {}, act)
+    with remote:
+        assert np.array_equal(remote.eval_many("all", [2], 0), indicator_rows([2]))
+        go.touch()
+        assert select.select([remote._proc.stdout], [], [], 10.0)[0]
+        with pytest.raises(OracleError) as exc:
+            remote.eval_many("all", [3], 0)
+        assert exc.value.code == "oracle-io"
+        assert "before a request" in str(exc.value) and "0.5,0.5,0.5" in str(exc.value)
 
 
 @settings(max_examples=50, deadline=None)

@@ -31,7 +31,7 @@ from kpshap import (
     stage_tables,
     write_game_csv,
 )
-from kpshap.shapley import _group_means, _tables
+from kpshap.shapley import _PRICE_BLOCK, _group_means, _tables
 from tests.test_protocol import RecordingOracle
 
 
@@ -667,6 +667,42 @@ def test_tables_match_the_per_target_loop(n, t, seed):
     assert np.array_equal(np.array([tab.phi for tab in got]), want)
 
 
+def block_bound_cases():
+    """(n, t) pairs around the pricing block bound: stages whose players all
+    fit in one block, stages that take a few players a step, and stages at
+    and just past one player a step. n = 1 and 5 read cached plans; the
+    wider stages build theirs a chunk at a time."""
+    cases = [(1, 1), (5, 5), (5, _PRICE_BLOCK >> 4), (5, (_PRICE_BLOCK >> 4) + 1)]
+    for n in (11, 12, 13):
+        whole = _PRICE_BLOCK >> (n - 1)  # the t at which one player fills a block
+        cases += [(n, whole // 2 - 1), (n, whole // 2 + 1), (n, whole), (n, whole + 1)]
+    return cases + [(15, 1), (16, 3)]
+
+
+@pytest.mark.parametrize(("n", "t"), block_bound_cases())
+def test_tables_match_the_per_target_loop_across_the_block_bound(n, t):
+    games = uneven(np.random.default_rng(1000 * n + t), (t, 1 << n))
+    players = tuple(f"p{j}" for j in range(n))
+    got = _tables(games, players, tuple(f"t{k}" for k in range(t)))
+    assert np.array_equal(np.array([tab.phi for tab in got]), loop_phi(games, n))
+    assert [tab.value_full for tab in got] == games[:, -1].tolist()
+    assert [tab.value_empty for tab in got] == games[:, 0].tolist()
+
+
+def test_a_negative_zero_of_a_one_keypoint_player_is_priced_as_zero():
+    # a within-group stage gathers its members' columns in one step; -0.0
+    # still reads as 0.0, as the per-row sum of the loop reads it
+    values = np.array([[-0.0, 0.25, -0.0], [0.5, -0.0, 0.75], [-0.0, -0.0, 1.0], [1.0, 1.0, 0.0]])
+    players = [(0,), (1,), (2,)]
+    means = _group_means(values, players)
+    assert means.flags.c_contiguous
+    assert means.tobytes() == loop_group_means(values, players).tobytes()
+    assert not np.signbit(means).any()
+    game = _group_means(values[:, :2], [(0,), (1,)])
+    (table, _) = _tables(game, ("a", "b"), ("a", "b"))
+    assert math.copysign(1.0, table.value_empty) == 1.0
+
+
 def random_tables(grouping, rng):
     """Intra and group tables that fit the grouping, with some negative
     entries, and one group whose self-values all vanish."""
@@ -710,6 +746,24 @@ def test_combined_attribution_matches_the_row_loop_on_random_groupings(sizes, se
     for split_mode in ("uniform", "proportional"):
         report = combined_attribution(schema, grouping, intra, group, split_mode)
         assert np.array_equal(report.sigma, loop_sigma(grouping, intra, group, split_mode))
+
+
+def test_combined_attribution_refuses_a_degenerate_table():
+    # the tables of one group size are normalized together, and a row with
+    # no positive mass is refused as normalize_nonneg refuses it alone
+    rng = np.random.default_rng(7)
+    grouping = Grouping.from_sets([(0, 1), (2, 3), (4,)], 5)
+    schema, intra, group = random_tables(grouping, rng)
+    with pytest.raises(DataError) as alone:
+        normalize_nonneg([-1.0, 0.0])
+    bad = [
+        (intra[:3] + [ShapleyTable(intra[3].target, intra[3].players, (-1.0, 0.0), 1.0, 0.0)] + intra[4:], group),
+        (intra, group[:1] + [ShapleyTable(group[1].target, group[1].players, (0.0, -0.5, 0.0), 1.0, 0.0)] + group[2:]),
+    ]
+    for intra_tables, group_tables in bad:
+        with pytest.raises(DataError) as exc:
+            combined_attribution(schema, grouping, intra_tables, group_tables)
+        assert (exc.value.code, str(exc.value)) == (alone.value.code, str(alone.value))
 
 
 # --- one pricing path against the per-stage branch it replaced ---------------
