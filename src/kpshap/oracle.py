@@ -49,10 +49,10 @@ row's n little-endian IEEE-754 binary64 values, 8 bytes each, in hex, so
 ``np.frombuffer(bytes.fromhex(s), "<f8")`` reads it back bit for bit. It
 spares both ends the shortest round-trip decimal printing and parsing of
 every float. ExternalOracle asks for it only when the hello lists it, and
-reads a batch of such lines, each in that minimal form, with one JSON decode
-and one bytes.fromhex; any other batch it reads a line at a time. ``serve``
-answers a request for any other reply form than "values" or "f64" with an
-error.
+reads a batch of such lines, each in that minimal form, with one
+bytes.fromhex of the joined digits and no JSON decode; any other batch it
+reads a line at a time. ``serve`` answers a request for any other reply
+form than "values" or "f64" with an error.
 
 A reply line beyond its batch ends the child: ExternalOracle refuses bytes
 after a batch's last reply line and bytes already readable before a batch's
@@ -545,7 +545,7 @@ class ExternalOracle(CoalitionValueOracle):
         chunks = []
         lines = 0
         try:
-            if pending and select.select([stdout], [], [], 0)[0]:
+            if pending and any(key.fileobj is stdout for key, _ in self._sel.select(0)):
                 stray = os.read(stdout.fileno(), _PIPE_READ)
                 if not stray:
                     raise self._fail("oracle closed its output (buffered: b'')", self.timeout)
@@ -606,8 +606,8 @@ class ExternalOracle(CoalitionValueOracle):
         """One eval request line per mask, all written while the replies are
         read; an error reply raises once every reply is in, so the stream
         stays in step and the oracle stays usable. A batch of minimal f64
-        lines is read with one JSON decode and one fromhex (_f64_batch); any
-        other batch one JSON line at a time."""
+        lines is read with one fromhex (_f64_batch); any other batch one
+        JSON line at a time."""
         n = self.schema.n
         if not masks:
             return np.empty((0, n), dtype=np.float64)
@@ -619,12 +619,6 @@ class ExternalOracle(CoalitionValueOracle):
             if rows is not None:
                 return rows
         replies = [self._message(line) for line in lines]
-        if self._f64 and all(_f64_sized(msg, n) for msg in replies):
-            try:
-                row = _hex_row("".join([msg["f64"] for msg in replies]), n * len(masks))
-                return row.reshape(-1, n)
-            except ValueError:
-                pass  # the loop below names the bad row
         for msg in replies:
             if "error" in msg:
                 raise OracleError(f"oracle reported: {msg['error']}")
@@ -702,36 +696,21 @@ def _f64_lines(rows: np.ndarray) -> list[str]:
     return ['{"f64":"' + digits[i : i + width] + '"}' for i in range(0, len(digits), width)]
 
 
-def _f64_sized(msg: dict, n: int) -> bool:
-    """Whether ``msg`` is {"f64": s} with s as long as the hex of n values, so
-    that a batch of such rows can be read as one."""
-    return msg.keys() == {"f64"} and isinstance(msg["f64"], str) and len(msg["f64"]) == 16 * n
-
-
 def _f64_batch(lines: list[bytes], n: int) -> np.ndarray | None:
     """The rows of a batch of reply lines that are all the minimal
-    {"f64":"<16 n hex digits>"}, read with one JSON decode of the lines
-    joined into an array and one fromhex; None for any other batch.
-
-    Each line must be exactly 16 n + 10 bytes, and the array is accepted
-    only if it holds one f64 reply of 16 n digits per line. Such a reply
-    takes at least 16 n + 10 characters of JSON text, and the joined text
-    has exactly that many per line plus the commas and brackets, so no
-    element can take characters from another line: element i is line i.
-    """
+    {"f64":"<16 n hex digits>"}, read with one fromhex of the joined digits;
+    None for any other batch. A line of that length, prefix and suffix whose
+    middle is 16 n hex digits is exactly that reply, and one whose middle is
+    not fails the ASCII or hex check."""
     size = 16 * n + 10
-    if any(len(line) != size for line in lines):
-        return None
-    try:
-        msgs = _decode_reply((b"[" + b",".join(lines) + b"]").decode())
-    except (ValueError, RecursionError):
-        return None
-    if len(msgs) != len(lines) or not all(
-        type(msg) is dict and _f64_sized(msg, n) for msg in msgs
+    if not all(
+        len(line) == size and line.startswith(b'{"f64":"') and line.endswith(b'"}')
+        for line in lines
     ):
         return None
     try:
-        return _hex_row("".join([msg["f64"] for msg in msgs]), n * len(lines)).reshape(-1, n)
+        digits = b"".join([line[8:-2] for line in lines]).decode("ascii")
+        return _hex_row(digits, n * len(lines)).reshape(-1, n)
     except ValueError:
         return None
 

@@ -837,9 +837,13 @@ NAN_ROW = struct.pack("<3d", math.nan, 0.0, 0.0).hex()
         '{"f64":"' + "00" * 25 + '"}',
         '{"f64":"' + "zz" * 24 + '"}',
         '{"f64":"' + "  " + "00" * 23 + '"}',
-        # as long as a minimal f64 line, so the batch is decoded as one
-        # array, but with a space and one digit too few
+        # as long as a minimal f64 line, but with a space and one digit too
+        # few
         '{"f64": "' + "0" * 47 + '"}',
+        # as many bytes as a minimal f64 line, with its prefix and suffix, but
+        # a JSON escape or a two-byte character among the digits
+        '{"f64":"\\u0030' + "0" * 42 + '"}',
+        '{"f64":"\u00e9' + "0" * 46 + '"}',
         # bytes.fromhex skips spaces: these 48 digits would read as 2 values
         '{"f64":"' + " " * 16 + "00" * 16 + '"}',
         '{"f64":"' + NAN_ROW + '"}',
@@ -861,7 +865,8 @@ NAN_ROW = struct.pack("<3d", math.nan, 0.0, 0.0).hex()
         '{"values":[0.5,0.25]}',
     ],
     ids=[
-        "short", "long", "not-hex", "whitespace", "minimal-length-spaced", "two-values",
+        "short", "long", "not-hex", "whitespace", "minimal-length-spaced",
+        "minimal-length-escape", "minimal-length-non-ascii", "two-values",
         "nan", "all-ones",
         "number", "list", "full-width-digits", "arabic-indic-digits",
         "values-not-a-list", "values-nan", "values-string", "values-bool",
@@ -925,6 +930,29 @@ def test_a_row_split_across_lines_is_not_read_as_one_batch(tmp_path):
         with pytest.raises(OracleError) as exc:
             remote.eval_many("all", [1, 2, 4], 0)
         assert exc.value.code == "oracle-io" and "non-JSON line" in str(exc.value)
+
+
+@pytest.mark.parametrize(
+    "reply, error",
+    [
+        ('{"F64":"' + "00" * 24 + '"}', "missing 'values'"),
+        ('{"f64":"' + "00" * 24 + '"]', "non-JSON line"),
+    ],
+    ids=["other-key", "other-suffix"],
+)
+def test_a_minimal_length_line_of_another_form_is_not_read_as_a_row(tmp_path, reply, error):
+    # as many bytes as a minimal f64 line, 48 hex digits in the middle, but
+    # not that reply: refused as when the lines are read one at a time
+    act = f"""\
+    if visible == [1]:
+        sys.stdout.write({reply!r} + "\\n")
+        sys.stdout.flush()
+        continue"""
+    remote, _ = logging_oracle(tmp_path / "child", {"replies": ["f64"]}, act)
+    with remote:
+        with pytest.raises(OracleError, match=error) as exc:
+            remote.eval_many("all", [7, 2, 3], 0)
+        assert exc.value.code == "oracle-io"
 
 
 def test_a_reply_line_beyond_its_batch_ends_the_child(tmp_path):
