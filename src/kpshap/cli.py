@@ -169,6 +169,17 @@ def _claim_outputs(ns, inputs, outputs, schema_pair=None):
     return emit
 
 
+def _warned(fn, *args):
+    """fn(*args), with each warning it gives printed on stderr as one
+    ``warning: <message>`` line."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = fn(*args)
+    for w in caught:
+        print(f"warning: {w.message}", file=sys.stderr)
+    return result
+
+
 def cmd_interdep(ns) -> int:
     schema, skeleton = _load_schema_arg(ns.schema)
     instances = _parse_instances(ns.instances)
@@ -178,7 +189,7 @@ def cmd_interdep(ns) -> int:
         identity = oracle.describe()
         delta = delta_perf_matrix(oracle, instances=instances, m=ns.trials, seed=ns.seed)
     write_delta_csv(ns.out_delta, delta)
-    pi = perturbation_influence(delta)
+    pi = _warned(perturbation_influence, delta)
     write_matrix_csv(ns.out_pi, list(delta.names), pi)
     path = emit(identity)
     print(f"wrote {ns.out_delta}, {ns.out_pi}, {path} ({schema.n} keypoints)")
@@ -188,7 +199,8 @@ def cmd_interdep(ns) -> int:
 def cmd_cluster(ns) -> int:
     schema, skeleton = _load_schema_arg(ns.schema)
     delta = read_delta_csv(ns.delta, schema)
-    s = interdependency(perturbation_influence(delta), keypoint_connectivity(schema, skeleton))
+    pi = _warned(perturbation_influence, delta)
+    s = interdependency(pi, keypoint_connectivity(schema, skeleton))
     grouping = cluster_matrix(s, g=ns.g, linkage=ns.linkage)
     emit = _claim_outputs(ns, [ns.delta], [ns.out], (schema, skeleton))
     _write_bytes(ns.out, _json_text(grouping.to_json_dict(schema)), "grouping")
@@ -362,11 +374,7 @@ def cmd_gkr_stats(ns) -> int:
 
 def cmd_corr(ns) -> int:
     table = read_confidence_csv(ns.table)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        result = confidence_correlation(table)
-    for w in caught:
-        print(f"warning: {w.message}", file=sys.stderr)
+    result = _warned(confidence_correlation, table)
     emit = _claim_outputs(ns, [ns.table], [ns.out])
     write_matrix_csv(ns.out, list(table.names), result.matrix)
     path = emit()

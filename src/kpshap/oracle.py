@@ -73,7 +73,6 @@ import math
 import operator
 import os
 import queue
-import select
 import selectors
 import shlex
 import subprocess
@@ -508,9 +507,8 @@ class ExternalOracle(CoalitionValueOracle):
             proc.wait()
             ended = "killed"
         # the child is gone, so whatever it wrote to stderr is in the pipe
-        stderr = proc.stderr.fileno()
-        if select.select([stderr], [], [], 0)[0]:
-            self._keep_stderr(os.read(stderr, _PIPE_READ))
+        if any(key.fileobj is proc.stderr for key, _ in self._sel.select(0)):
+            self._keep_stderr(os.read(proc.stderr.fileno(), _PIPE_READ))
         tail = self._stderr.decode("utf-8", "replace").strip()
         self._broken = OracleError(
             f"{what}; oracle {ended}, stderr: {tail!r}" if tail else f"{what}; oracle {ended}",

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import sys
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -169,14 +170,17 @@ def perturbation_influence(delta: DeltaMatrix) -> np.ndarray:
 
     Each row of drops is normalized to shares, then the directed shares are
     averaged: PI(i, j) = (share[i][j] + share[j][i]) / 2. A keypoint whose
-    row sums to zero has no defined shares.
+    row sums to zero, which no hidden keypoint affects, gets a row of zero
+    shares, and a warning names it.
     """
     sums = delta.drops.sum(axis=1)
     dead = np.flatnonzero(sums == 0.0)
     if dead.size:
         bad = ", ".join(delta.names[i] for i in dead)
-        raise DataError(f"all-zero drop row for: {bad}", code="degenerate-row")
-    share = delta.drops / sums[:, None]
+        warnings.warn(f"all-zero drop row, given zero shares, for: {bad}", stacklevel=2)
+    share = np.divide(
+        delta.drops, sums[:, None], out=np.zeros_like(delta.drops), where=sums[:, None] > 0.0
+    )
     return 0.5 * (share + share.T)
 
 

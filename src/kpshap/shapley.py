@@ -114,78 +114,45 @@ def _popcounts(n: int) -> np.ndarray:
     return size
 
 
-# _tables prices as many players at once as keep the gathered block of
-# (target, player, coalition) gains within this many elements, and one
-# player at a time beyond it: a COCO stage of a few players takes one step,
-# and a whole-body stage of 11-12 players keeps the memory of pricing one
-# player alone. Larger blocks were slower from 9 players up (2-vCPU host).
-_PRICE_BLOCK = 16384
-
-# _tables keeps the pricing plan of up to this many players once it is
-# built (9 KB at 8 players), where a stage's fixed cost is most of its
-# price. A wider stage, where the gathers dominate, builds its plan a chunk
-# of players at a time, so that the memory it keeps or holds at once stays
-# that of pricing one chunk: 20 players never hold 20 rows of 2^19 indices.
-_PLAN_CACHE_WIDTH = 8
-
-
-def _plan_weights(n: int) -> np.ndarray:
-    """The weight |S|! (n-|S|-1)! / n! of each coalition S of the other n-1
-    players, in the order of _plan_rows."""
+@functools.cache
+def _weights(n: int) -> np.ndarray:
+    """The read-only weight |S|! (n-|S|-1)! / n! of each coalition S of the
+    other n-1 players, by S's bitmask over them."""
     fact = [math.factorial(k) for k in range(n + 1)]
     weight = np.array(
         [fact[k] * fact[n - 1 - k] / fact[n] for k in range(n)], dtype=np.float64
-    )
-    return weight[_popcounts(n - 1)]
-
-
-def _plan_rows(n: int, a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
-    """For each player j in [a, b), the 2^(n-1) coalitions without j in
-    ascending order (coalition k of the others, with a 0 bit put in at j),
-    and the same coalitions with j: two (b - a, 2^(n-1)) int32 arrays."""
-    k = np.arange(1 << (n - 1), dtype=np.int32)
-    bit = (np.int32(1) << np.arange(a, b, dtype=np.int32))[:, None]
-    without = (k & (bit - 1)) | ((k & -bit) << 1)
-    return without, without | bit
-
-
-@functools.cache
-def _plan(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The read-only pricing plan of n <= _PLAN_CACHE_WIDTH players, built
-    on first use: the weights and every player's rows."""
-    plan = (_plan_weights(n), *_plan_rows(n, 0, n))
-    for arr in plan:
-        arr.flags.writeable = False
-    return plan
+    )[_popcounts(n - 1)]
+    weight.flags.writeable = False
+    return weight
 
 
 def _tables(games: np.ndarray, players, targets) -> list[ShapleyTable]:
     """Exact Shapley tables of t games over the same players, in one pass.
 
     ``games`` is (t, 2^n): row t holds target t's game, one value per
-    coalition bitmask. Each (target, player) row of weighted gains is
-    summed as its own contiguous row, so pricing t games together rounds
-    exactly as pricing them one at a time.
+    coalition bitmask. Viewed as (t, 2^(n-1-j), 2, 2^j), its halves [:, :, 0]
+    and [:, :, 1] are the coalitions without and with player j, each in
+    ascending order of the other players' bits, so player j's gains need no
+    index arrays. They come out as a fresh C-contiguous (t, 2^(n-1)) array,
+    and reducing its last axis sums each target's row pairwise, exactly as
+    np.sum sums it alone: pricing t games together rounds as pricing them one
+    at a time.
     """
     if not np.all(np.isfinite(games)):
         raise DataError("game value is non-finite")
-    n = len(players)
-    cached = n <= _PLAN_CACHE_WIDTH
-    weights, without, with_j = _plan(n) if cached else (_plan_weights(n), None, None)
-    step = max(1, _PRICE_BLOCK // (max(len(targets), 1) << (n - 1)))
-    phi = np.empty((len(targets), n), dtype=np.float64)
-    for a in range(0, n, step):
-        b = min(a + step, n)
-        wo, wi = (without[a:b], with_j[a:b]) if cached else _plan_rows(n, a, b)
-        weighted = weights * (np.take(games, wi, axis=1) - np.take(games, wo, axis=1))
-        # reducing the last axis of a C-contiguous block sums each (target,
-        # player) row pairwise, exactly as np.sum sums it alone; np.take
-        # gives a C-ordered block, where fancy indexing would not
-        phi[:, a:b] = np.add.reduce(np.ascontiguousarray(weighted), axis=-1)
+    games = np.ascontiguousarray(games)
+    t, n = len(games), len(players)
+    weights = _weights(n)
+    phi = np.empty((t, n), dtype=np.float64)
+    for j in range(n):
+        halves = games.reshape(t, 1 << (n - 1 - j), 2, 1 << j)
+        gain = np.subtract(halves[:, :, 1], halves[:, :, 0]).reshape(t, 1 << (n - 1))
+        gain *= weights
+        np.add.reduce(gain, axis=-1, out=phi[:, j])
     full, empty = games[:, -1].tolist(), games[:, 0].tolist()
     return [
-        ShapleyTable(target, players, tuple(row), full[t], empty[t])
-        for t, (target, row) in enumerate(zip(targets, phi.tolist()))
+        ShapleyTable(target, players, tuple(row), full[k], empty[k])
+        for k, (target, row) in enumerate(zip(targets, phi.tolist()))
     ]
 
 

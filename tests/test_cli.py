@@ -17,6 +17,7 @@ from kpshap import (
     default_schema,
     load_image,
     load_schema,
+    read_delta_csv,
     read_matrix_csv,
     save_image,
     schema_digest,
@@ -265,7 +266,7 @@ def test_manifest_records_what_the_invocation_names(capsys, fixtures_dir, tmp_pa
     if takes_schema:
         schema.write_bytes(COCO17.read_bytes())
         argv += ["--schema", str(schema)]
-    if takes_seed:  # not the default 0; interdep's instance 0 at seed 3 is degenerate-row
+    if takes_seed:  # not the default 0, so that the manifest shows the seed given
         argv += ["--seed", "1"]
     code, _, err = run(capsys, *argv)
     assert code == 0, err
@@ -590,6 +591,26 @@ def test_interdep_artifacts_and_manifest(capsys, fixtures_dir, tmp_path):
     assert manifest["inputs"][str(fixtures_dir / "synthetic17.json")] == sha256_file(
         fixtures_dir / "synthetic17.json"
     )
+
+
+def test_an_all_zero_drop_row_warns_and_the_pipeline_goes_on(capsys, fixtures_dir, tmp_path):
+    # at seed 3 no hidden keypoint lowers l-ear's score: its drop row is all
+    # zero, and interdep and cluster both name it in a warning, not an error
+    delta, pi, groups = (tmp_path / name for name in ("delta.csv", "pi.csv", "groups.json"))
+    synthetic = str(fixtures_dir / "synthetic17.json")
+    argv = ["interdep", "--synthetic", synthetic, "--seed", "3"]
+    code, _, err = run(capsys, *argv, "--out-delta", str(delta), "--out-pi", str(pi))
+    warning = "warning: all-zero drop row, given zero shares, for: l-ear\n"
+    assert (code, err) == (0, warning)
+    drops = read_delta_csv(delta, default_schema()[0]).drops
+    assert drops.sum(axis=1).tolist().count(0.0) == 1
+    # the 16 other share rows each sum to 1, and l-ear's is zero
+    labels, matrix = read_matrix_csv(pi)
+    assert matrix[labels.index("l-ear"), labels.index("l-ear")] == 0.0
+    assert np.allclose(matrix.sum(), 16.0)
+    code, out, err = run(capsys, "cluster", "--delta", str(delta), "--out", str(groups))
+    assert (code, err) == (0, warning)
+    assert "l-ear" in out
 
 
 def test_cluster_recovers_expected_grouping(capsys, fixtures_dir, tmp_path):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -189,13 +191,19 @@ def test_pi_recomputed_from_raw_fixture(fixtures_dir, schema, table2_delta):
             assert pi[ia, ib] == pytest.approx(expected, abs=1e-12)
 
 
-def test_pi_zero_row_rejected():
-    names = ("a", "b")
-    delta = DeltaMatrix(names, np.array([0.5, 0.6]), np.array([[0.0, 0.0], [0.1, 0.2]]))
-    with pytest.raises(DataError) as exc:
-        perturbation_influence(delta)
-    assert exc.value.code == "degenerate-row"
-    assert "a" in str(exc.value)
+def test_pi_zero_row_gets_zero_shares_and_a_warning(table2_delta):
+    # row a sums to zero: it gets zero shares and is named in a warning; the
+    # rows with positive sums are divided as they would be on their own
+    drops = np.array([[0.0, 0.0, 0.0], [0.1, 0.2, 0.05], [0.3, 0.0, 0.1]])
+    delta = DeltaMatrix(("a", "b", "c"), np.array([0.5, 0.6, 0.7]), drops)
+    with pytest.warns(UserWarning, match=r"^all-zero drop row, given zero shares, for: a$"):
+        pi = perturbation_influence(delta)
+    share = np.zeros_like(drops)
+    share[1:] = drops[1:] / drops[1:].sum(axis=1)[:, None]
+    assert pi.tobytes() == (0.5 * (share + share.T)).tobytes()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        perturbation_influence(table2_delta)
 
 
 @given(st.integers(2, 8), st.integers(0, 10_000))

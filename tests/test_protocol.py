@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import resource
 import select
 import struct
 import subprocess
@@ -277,6 +278,32 @@ def test_child_exiting_mid_batch_is_oracle_io_and_quotes_stderr(tmp_path):
             assert later.value.code == "oracle-io" and "unusable" in str(later.value)
     finally:
         remote.close()
+
+
+def test_child_crash_is_quoted_when_its_pipes_sit_above_fd_1023(tmp_path):
+    # select.select refuses descriptors above 1023, so a client that polls
+    # the dead child's stderr with it raises ValueError, not OracleError
+    soft, _ = resource.getrlimit(resource.RLIMIT_NOFILE)
+    if soft != resource.RLIM_INFINITY and soft < 1100:
+        pytest.skip(f"needs about 1100 descriptors, the soft limit is {soft}")
+    dups = []
+    try:
+        # os.dup returns the lowest free descriptor, so once it returns 1030
+        # every lower one is taken, and the child's pipes open above them
+        while not dups or dups[-1] < 1030:
+            dups.append(os.dup(2))
+        remote = scripted_oracle(tmp_path, '    sys.stderr.write("no model\\n")\n    sys.exit(4)')
+        try:
+            assert min(p.fileno() for p in (remote._proc.stdout, remote._proc.stderr)) > 1023
+            with pytest.raises(OracleError) as exc:
+                remote.eval_many("all", [7], 0)
+            assert exc.value.code == "oracle-io"
+            assert "exited with 4" in str(exc.value) and "no model" in str(exc.value)
+        finally:
+            remote.close()
+    finally:
+        for fd in dups:
+            os.close(fd)
 
 
 def test_child_closing_its_output_is_waited_for(tmp_path):

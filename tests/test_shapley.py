@@ -31,7 +31,7 @@ from kpshap import (
     stage_tables,
     write_game_csv,
 )
-from kpshap.shapley import _PRICE_BLOCK, _group_means, _tables
+from kpshap.shapley import MAX_PLAYERS, _group_means, _tables
 from tests.test_protocol import RecordingOracle
 
 
@@ -668,15 +668,16 @@ def test_tables_match_the_per_target_loop(n, t, seed):
 
 
 def block_bound_cases():
-    """(n, t) pairs around the pricing block bound: stages whose players all
-    fit in one block, stages that take a few players a step, and stages at
-    and just past one player a step. n = 1 and 5 read cached plans; the
-    wider stages build theirs a chunk at a time."""
-    cases = [(1, 1), (5, 5), (5, _PRICE_BLOCK >> 4), (5, (_PRICE_BLOCK >> 4) + 1)]
-    for n in (11, 12, 13):
-        whole = _PRICE_BLOCK >> (n - 1)  # the t at which one player fills a block
-        cases += [(n, whole // 2 - 1), (n, whole // 2 + 1), (n, whole), (n, whole + 1)]
-    return cases + [(15, 1), (16, 3)]
+    """(n, t) pairs from one player to 16 and from one target to 1025: many
+    targets over few players, few over many, and the sizes between, where
+    (target, coalition) blocks of 2^14 gathered gains once split the work."""
+    return [
+        (1, 1), (5, 5), (5, 1024), (5, 1025),
+        (11, 7), (11, 9), (11, 16), (11, 17),
+        (12, 3), (12, 5), (12, 8), (12, 9),
+        (13, 1), (13, 3), (13, 4), (13, 5),
+        (15, 1), (16, 3),
+    ]
 
 
 @pytest.mark.parametrize(("n", "t"), block_bound_cases())
@@ -687,6 +688,31 @@ def test_tables_match_the_per_target_loop_across_the_block_bound(n, t):
     assert np.array_equal(np.array([tab.phi for tab in got]), loop_phi(games, n))
     assert [tab.value_full for tab in got] == games[:, -1].tolist()
     assert [tab.value_empty for tab in got] == games[:, 0].tolist()
+
+
+def test_exact_shapley_matches_the_per_target_loop_at_the_player_limit():
+    game = uneven(np.random.default_rng(MAX_PLAYERS), (1, 1 << MAX_PLAYERS))
+    table = exact_shapley(game[0])
+    assert np.array_equal(np.array([table.phi]), loop_phi(game, MAX_PLAYERS))
+
+
+@pytest.mark.parametrize("n", [1, 4, 9])
+def test_tables_price_a_strided_game_as_its_contiguous_copy(n):
+    # every other row and every other coalition of a wider array, and an
+    # F-ordered copy: the tables must not depend on the input's layout
+    rng = np.random.default_rng(n)
+    wide = uneven(rng, (6, 2 << n))
+    games = wide[::2, ::2]
+    assert not games.flags.c_contiguous and not games.flags.f_contiguous
+    players = tuple(f"p{j}" for j in range(n))
+    targets = ("a", "b", "c")
+    want = loop_phi(np.ascontiguousarray(games), n)
+    for layout in (games, np.asfortranarray(games)):
+        got = _tables(layout, players, targets)
+        assert np.array([tab.phi for tab in got]).tobytes() == want.tobytes()
+        assert [tab.value_full for tab in got] == games[:, -1].tolist()
+    one = exact_shapley(wide[0, 1::2])
+    assert np.array([one.phi]).tobytes() == loop_phi(wide[:1, 1::2].copy(), n).tobytes()
 
 
 def test_a_negative_zero_of_a_one_keypoint_player_is_priced_as_zero():
