@@ -32,7 +32,11 @@ then answers one request per line:
 ``instances`` is ["all"] or a list of instance id strings; "all" is reserved.
 ``trial`` (0 when missing) and the ``visible`` entries are JSON integers;
 ``serve`` answers any other request with an error, never a coerced score.
-ExternalOracle writes each line as compact JSON with sorted keys.
+ExternalOracle writes each line as compact JSON with sorted keys, and every
+line of a batch shares its head, the text up to '"visible":['. ``serve``
+reads such a line by that head, parsed as JSON once and kept, and its
+indices from a table, with no JSON decode; it reads a line of any other
+spelling as JSON, and either way gives the same reply.
 A client may send every request of a batch before it reads any reply, and
 ExternalOracle does. A server must therefore keep reading requests while it
 answers, and answer them in order, one reply line per request. It may read
@@ -746,7 +750,11 @@ def _parse_request(raw, n: int) -> tuple:
     msg = json.loads(raw)
     if not isinstance(msg, dict) or msg.get("op") != "eval":
         raise DataError(f"unsupported request: {raw.strip()[:200]}")
-    inst, visible, trial = msg["instances"], msg["visible"], msg.get("trial", 0)
+    try:
+        inst, visible = msg["instances"], msg["visible"]
+    except KeyError as e:
+        raise DataError(f"eval request has no {e.args[0]!r} key") from None
+    trial = msg.get("trial", 0)
     reply = msg.get("reply", "values")
     if reply not in _REPLIES:
         raise DataError(f"reply {reply!r:.80} is not one of {list(_REPLIES)}")
@@ -767,6 +775,54 @@ def _parse_request(raw, n: int) -> tuple:
         raise DataError(f"keypoint index {bad} out of range for n={n}")
     instances = ALL_INSTANCES if inst == [ALL_INSTANCES] else tuple(inst)
     return instances, trial, reply, mask
+
+
+_VISIBLE = '"visible":['
+
+
+@functools.cache
+def _index_bits(n: int) -> dict[str, int]:
+    """The bit of each keypoint index below n, keyed by its decimal text."""
+    return {str(i): 1 << i for i in range(n)}
+
+
+@functools.lru_cache(maxsize=1)
+def _request_head(head: str, n: int) -> tuple | None:
+    """(instances, trial, reply form) of every request line that starts
+    with ``head`` and ends its "visible" list there, or None if the JSON
+    path refuses ``head + "]}"``. One slot: a pipelined batch shares one
+    head, so it is parsed once per batch, across serve passes too."""
+    try:
+        return _parse_request(head + "]}", n)[:3]
+    except Exception:  # refused: the JSON path answers its lines
+        return None
+
+
+def _compact_request(raw, n: int) -> tuple | None:
+    """_parse_request(raw, n) of a line in the compact form _request_lines
+    writes, read without decoding JSON; None for any other line.
+
+    Such a line is a head ending in the last '"visible":[', then canonical
+    indices below n joined by commas, then ']}\\n'. When '"visible"' opens
+    after ',' or '{' and head + ']}' is a whole request the JSON path
+    accepts, that '[' opens the value of the top-level, and last,
+    "visible" key, so the JSON path would read the line as the head's
+    request with those indices visible."""
+    if not (isinstance(raw, str) and raw.endswith("]}\n")):
+        return None
+    at = raw.rfind(_VISIBLE)
+    if at < 1 or raw[at - 1] not in ",{":
+        return None
+    cut = at + len(_VISIBLE)
+    key = _request_head(raw[:cut], n)
+    if key is None:
+        return None
+    middle = raw[cut:-3]
+    bits = map(_index_bits(n).__getitem__, middle.split(",")) if middle else ()
+    try:
+        return (*key, functools.reduce(operator.or_, bits, 0))
+    except KeyError:
+        return None
 
 
 def _score(oracle: CoalitionValueOracle, instances, trial: int, reply: str, masks) -> list[str]:
@@ -790,14 +846,15 @@ def _answer(oracle: CoalitionValueOracle, lines) -> str:
     """The reply lines to a sequence of request lines, in request order:
     none for a blank line, an error for a malformed one, and one eval_many
     for each run of consecutive requests with the same instances, trial and
-    reply form."""
+    reply form. A line in the compact form is read by its head
+    (_compact_request), any other by the JSON path, with the same result."""
     n = oracle.schema.n
     requests = []
     for raw in lines:
         if not raw.strip():
             continue
         try:
-            requests.append(_parse_request(raw, n))
+            requests.append(_compact_request(raw, n) or _parse_request(raw, n))
         except Exception as e:  # a malformed request gets an error reply
             requests.append(e)
     replies = []

@@ -10,6 +10,7 @@ import struct
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,11 +23,19 @@ from kpshap import (
     DataError,
     ExternalOracle,
     OracleError,
+    SyntheticModelConfig,
     SyntheticOracle,
     serve,
 )
 from kpshap.errors import _json_line
-from kpshap.oracle import _answer, _hex_row, _request_lines, _values_line
+from kpshap.oracle import (
+    _answer,
+    _compact_request,
+    _hex_row,
+    _parse_request,
+    _request_lines,
+    _values_line,
+)
 from tests.test_oracle import make_config, tiny_schema
 
 _ROOT = str(Path(__file__).resolve().parent.parent)
@@ -1045,3 +1054,124 @@ def test_f64_request_lines_are_the_json_lines(sized, ids, trial):
         for m in masks
     )
     assert _request_lines(ids, trial, masks, f64=True) == want
+
+
+# --- requests read by their head ------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "line, error",
+    [
+        ('{"op":"eval","trial":0,"visible":[0]}', "eval request has no 'instances' key"),
+        ('{"instances":["all"],"op":"eval","trial":0}', "eval request has no 'visible' key"),
+    ],
+    ids=["instances", "visible"],
+)
+def test_serve_names_the_key_a_request_lacks(line, error):
+    oracle = SyntheticOracle(make_config(), tiny_schema())
+    replies = served(oracle, [eval_line([1]), line, eval_line([2])])
+    assert replies[1] == _json_line({"error": error})
+    assert [json.loads(r)["values"] for r in replies[::2]] == oracle.eval_many("all", [2, 4], 0).tolist()
+
+
+def flat_oracle(n):
+    """A noisy synthetic oracle of any width: every keypoint scores 0.5."""
+    config = SyntheticModelConfig((0.5,) * n, ((0.0,) * n,) * n, 0.1)
+    return SyntheticOracle(config, tiny_schema(n))
+
+
+# Heads the head path must leave to the JSON path, or read exactly as it
+# does: a "visible" that is the tail of an escaped-quote key or string, one
+# after a comma inside a string, one in a nested object, one after a second
+# document, one with nothing before it, a duplicate "visible" key, a
+# leading space, another key order, a float trial, an unknown reply form,
+# and no instances at all.
+ODD_HEADS = [
+    '{"instances":["all"],"op":"eval","trial":0,"visible":[],"x\\"visible":[',
+    '{"instances":["all"],"op":"eval","trial":0,"x":"a\\",\\"visible":[',
+    '{"instances":["all"],"op":"eval","trial":0,"x":"a,"visible":[',
+    '{"instances":["all"],"meta":{"visible":[',
+    '{"instances":["all"],"op":"eval","trial":0,"meta":{"visible":[',
+    '{"instances":["all"],"op":"eval","trial":0,"visible":[]}{"visible":[',
+    '"visible":[',
+    '{"instances":["all"],"op":"eval","trial":0,"visible":[1],"visible":[',
+    ' {"instances":["all"],"op":"eval","trial":0,"visible":[',
+    '{"visible":[],"op":"eval","instances":["0","1"],"trial":2,"visible":[',
+    '{"instances":["all"],"op":"eval","trial":1.0,"visible":[',
+    '{"instances":["all"],"op":"eval","reply":"f32","trial":0,"visible":[',
+    '{"op":"eval","trial":0,"visible":[',
+]
+ODD_MIDDLES = ["01", "-1", " 1", "1,1", "", "1,,2", "1,", "2 ", "1.0", "true", "9" * 40]
+ENDINGS = ["]}\n", "]} \n", "]}\r\n", "]}}\n", "]}", "}\n"]
+
+
+@st.composite
+def request_batches(draw):
+    """(n, lines, compact): a batch of request lines over n keypoints, and
+    whether each is in the form _request_lines writes."""
+    n = draw(st.sampled_from([3, 17, 20]))
+    index = st.integers(0, n - 1)
+    writer_heads = st.builds(
+        lambda ids, trial, f64: (_request_lines(ids, trial, [0], f64)[:-3], True),
+        request_ids,
+        st.one_of(st.integers(-3, 3), trials),
+        st.booleans(),
+    )
+    odd_heads = st.sampled_from(ODD_HEADS).map(lambda head: (head, False))
+    heads = draw(st.lists(st.one_of(writer_heads, writer_heads, odd_heads), min_size=1, max_size=3))
+    canonical = st.lists(index, max_size=n).map(lambda ks: (",".join(map(str, ks)), True))
+    odd = st.one_of(
+        st.sampled_from(ODD_MIDDLES + [str(n), f"0,{n + 5}"]),
+        st.lists(st.one_of(index.map(str), st.sampled_from(ODD_MIDDLES)), min_size=2).map(",".join),
+    ).map(lambda middle: (middle, False))
+    lines, compact = [], []
+    for _ in range(draw(st.integers(1, 8))):
+        head, writer = draw(st.sampled_from(heads))
+        middle, listed = draw(st.one_of(canonical, canonical, odd))
+        # mostly the compact ending, so that runs of compact lines form
+        ending = draw(st.sampled_from(["]}\n"] * 12 + ENDINGS))
+        lines.append(head + middle + ending)
+        compact.append(writer and listed and ending == "]}\n")
+    return n, lines, compact
+
+
+def json_path_answer(oracle, lines):
+    """_answer with every line read by the JSON path alone."""
+    with mock.patch("kpshap.oracle._compact_request", lambda raw, n: None):
+        return _answer(oracle, lines)
+
+
+@settings(max_examples=300, deadline=None)
+@given(request_batches())
+@example((20, [ODD_HEADS[0] + "5]}\n"], [False]))
+@example((3, [ODD_HEADS[4] + "1]}\n"], [False]))
+def test_requests_read_by_their_head_are_read_as_the_json_path_reads_them(batch):
+    n, lines, compact = batch
+    for line, writer in zip(lines, compact):
+        got = _compact_request(line, n)
+        assert got is not None or not writer, line
+        if got is not None:
+            assert got == _parse_request(line, n), line
+    oracle = flat_oracle(n)
+    by_head, by_json = RecordingOracle(oracle), RecordingOracle(oracle)
+    assert _answer(by_head, lines) == json_path_answer(by_json, lines)
+    assert by_head.batches == by_json.batches
+
+
+def test_serve_answers_a_binary_infile_as_it_answers_text():
+    oracle = SyntheticOracle(make_config(noise=0.1), tiny_schema())
+    text = "".join(
+        [
+            _request_lines(["all"], 1, [7, 0, 5], f64=True),
+            _request_lines(["0", "1"], 2, [3, 6]),
+            eval_line([0, 3]) + "\n",
+            '{"instances":["all"],"op":"eval","trial":1.5,"visible":[1]}\n',
+            "\n",
+            _request_lines(["all"], 1, [2]),
+        ]
+    )
+    want, got = io.StringIO(), io.StringIO()
+    serve(oracle, io.StringIO(text), want)
+    serve(oracle, io.BytesIO(text.encode()), got)
+    assert got.getvalue() == want.getvalue()
+    assert len(want.getvalue().splitlines()) == 1 + 8
