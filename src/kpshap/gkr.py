@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import (
     DataError,
+    SchemaError,
     _json_document,
     _json_float,
     _json_int,
@@ -147,7 +148,7 @@ def default_scales(grouping: Grouping, schema: KeypointSchema) -> tuple[float, .
     """Small rectangles (0.05) for the face group, larger (0.15) elsewhere."""
     try:
         nose_group = grouping.group_of(schema.index_of("nose"))
-    except Exception:
+    except SchemaError:  # the schema has no nose
         nose_group = -1
     return tuple(0.05 if k == nose_group else 0.15 for k in range(grouping.g))
 

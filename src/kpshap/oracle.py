@@ -111,10 +111,6 @@ _BLOCK_ROWS = 256
 _PIPE_READ = 65536
 _STDERR_TAIL = 4096
 
-# ExternalOracle decodes each reply line, once it is text, with this one
-# decoder; json.loads would first sniff the bytes for their encoding.
-_decode_reply = json.JSONDecoder().decode
-
 # The reply forms serve writes: "values", the default, then those a request
 # opts into with its "reply" key, which serve's hello lists.
 _REPLIES = ("values", "f64")
@@ -597,7 +593,7 @@ class ExternalOracle(CoalitionValueOracle):
     def _message(self, line: bytes) -> dict:
         """One reply line as a JSON object; any other line ends the child."""
         try:
-            msg = _decode_reply(line.decode())
+            msg = json.loads(line.decode())
         except (ValueError, RecursionError):
             raise self._fail(f"oracle sent non-JSON line: {line[:200]!r}") from None
         if not isinstance(msg, dict):
@@ -684,12 +680,6 @@ def _request_lines(ids: list[str], trial: int, masks: list[int], f64: bool = Fal
     )
 
 
-def _values_line(row: list[float]) -> str:
-    """_json_line({"values": row}) of a row of finite floats, which the json
-    module writes with float.__repr__."""
-    return '{"values":[' + ",".join(map(float.__repr__, row)) + "]}"
-
-
 def _f64_lines(rows: np.ndarray) -> list[str]:
     """The {"f64": hex} reply lines of a batch's rows, sliced from the hex of
     the whole batch's little-endian binary64 bytes."""
@@ -749,7 +739,8 @@ def _parse_request(raw, n: int) -> tuple:
     so that no request is scored as one it does not spell out."""
     msg = json.loads(raw)
     if not isinstance(msg, dict) or msg.get("op") != "eval":
-        raise DataError(f"unsupported request: {raw.strip()[:200]}")
+        text = raw.decode(errors="replace") if isinstance(raw, bytes) else raw
+        raise DataError(f"unsupported request: {text.strip()[:200]}")
     try:
         inst, visible = msg["instances"], msg["visible"]
     except KeyError as e:
@@ -839,7 +830,7 @@ def _score(oracle: CoalitionValueOracle, instances, trial: int, reply: str, mask
     if reply == "f64":
         return _f64_lines(rows)
     # eval_many has refused non-finite values
-    return [_values_line(row) for row in rows.tolist()]
+    return [_json_line({"values": row}) for row in rows.tolist()]
 
 
 def _answer(oracle: CoalitionValueOracle, lines) -> str:

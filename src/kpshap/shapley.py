@@ -333,7 +333,7 @@ class AttributionReport:
             "split_mode": self.split_mode,
             "intra_tables": [t.to_json_dict() for t in self.intra_tables],
             "group_tables": [t.to_json_dict() for t in self.group_tables],
-            "attribution": [[float(v) for v in row] for row in self.sigma],
+            "attribution": self.sigma.tolist(),
         }
 
 
@@ -378,29 +378,24 @@ def combined_attribution(
     for h, members in enumerate(grouping.groups):
         label[list(members)] = h
     stages = _stages(grouping, schema.names)
-    for i, table in enumerate(intra_tables):
-        _check_table(f"intra table {i}", table, schema.names[i], stages[label[i]][1])
+    for (_, players), members in zip(stages, grouping.groups):
+        for i in members:
+            _check_table(f"intra table {i}", intra_tables[i], schema.names[i], players)
     labels = stages[-1][1]
     for h, table in enumerate(group_tables):
         _check_table(f"group table {h}", table, labels[h], labels)
 
-    # the checked intra tables of a group size all have that many entries,
-    # so they are normalized together; intra_norm[i] is keypoint i's row
-    by_size: dict[int, list[int]] = {}
-    for members in grouping.groups:
-        by_size.setdefault(len(members), []).extend(members)
-    intra_norm = [None] * n
-    for keypoints in by_size.values():
-        for i, row in zip(keypoints, _normalize_rows([intra_tables[i].phi for i in keypoints])):
-            intra_norm[i] = row
+    # each group's intra tables are normalized together: row pos of its
+    # block is the within-group share row of its member at pos
+    blocks = [_normalize_rows([intra_tables[i].phi for i in members]) for members in grouping.groups]
     psi = _normalize_rows([t.phi for t in group_tables])
 
     # weight[j]: keypoint j's part of its group's share in a foreign row;
     # uniform, or in proportional mode proportional to the members'
     # normalized within-group self-values unless these all vanish
     weight = np.empty(n, dtype=np.float64)
-    for members in map(list, grouping.groups):
-        share = np.array([intra_norm[j][pos] for pos, j in enumerate(members)])
+    for members, block in zip(map(list, grouping.groups), blocks):
+        share = block.diagonal()
         if split_mode == "proportional" and share.sum() > 0:
             weight[members] = share / share.sum()
         else:
@@ -409,9 +404,9 @@ def combined_attribution(
     # sigma[i, j] = psi[i's group][j's group] * weight[j], except in i's own
     # group, where it is the group's self-share times i's within-group share
     sigma = psi[label][:, label] * weight
-    for h, members in enumerate(grouping.groups):
+    for h, (members, block) in enumerate(zip(grouping.groups, blocks)):
         rows = np.array(members, dtype=np.intp)
-        sigma[rows[:, None], rows] = psi[h, h] * np.array([intra_norm[i] for i in members])
+        sigma[rows[:, None], rows] = psi[h, h] * block
     # the fancy-indexed matrix is F-ordered, and reducing that across axis 1
     # adds column by column; _normalize_rows sums C-contiguous rows
     sigma = _normalize_rows(sigma)

@@ -9,7 +9,6 @@ the 17-keypoint human schema with its standard 19-edge skeleton.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass, field
 from importlib import resources
 
@@ -123,7 +122,7 @@ def load_schema(source) -> tuple[KeypointSchema, Skeleton]:
 def default_schema() -> tuple[KeypointSchema, Skeleton]:
     """The packaged 17-keypoint human schema."""
     text = resources.files("kpshap").joinpath("schemas/coco17.json").read_text(encoding="utf-8")
-    return load_schema(json.loads(text))
+    return load_schema(text)
 
 
 def schema_digest(schema: KeypointSchema, skeleton: Skeleton) -> str:

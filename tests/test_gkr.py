@@ -11,6 +11,7 @@ from kpshap import (
     EraseRect,
     GkrConfig,
     Grouping,
+    KeypointSchema,
     PersonAnnotation,
     apply_plan,
     bucket_for,
@@ -221,6 +222,12 @@ def test_default_scales_shrink_face_group(schema, expected_grouping):
     assert len(scales) == 5
     assert scales[0] == 0.05  # the group holding the nose
     assert set(scales[1:]) == {0.15}
+
+
+def test_default_scales_without_a_nose_are_all_large():
+    schema = KeypointSchema(("a", "b", "c"))
+    grouping = Grouping.from_sets([[0, 2], [1]], schema.n)
+    assert default_scales(grouping, schema) == (0.15, 0.15)
 
 
 def test_random_erasing_baseline(schema):

@@ -34,7 +34,6 @@ from kpshap.oracle import (
     _hex_row,
     _parse_request,
     _request_lines,
-    _values_line,
 )
 from tests.test_oracle import make_config, tiny_schema
 
@@ -622,17 +621,6 @@ def test_request_lines_are_the_json_lines(sized, ids, trial):
     assert _request_lines(ids, trial, masks) == want
 
 
-@given(
-    st.lists(
-        st.one_of(st.sampled_from([0.0, 1.0, 5e-324, 0.1, 1 / 3]), st.floats(0.0, 1.0)),
-        max_size=20,
-    )
-)
-def test_values_lines_are_the_json_lines(values):
-    row = np.array(values, dtype=np.float64).tolist()
-    assert _values_line(row) == _json_line({"values": row})
-
-
 # a JSON object but for one byte that is not UTF-8
 NOT_UTF8 = r"""sys.stdout.buffer.write(b'{"values":[0.0,1.0,0.0],"note":"\xff"}\n')"""
 
@@ -1167,6 +1155,7 @@ def test_serve_answers_a_binary_infile_as_it_answers_text():
             eval_line([0, 3]) + "\n",
             '{"instances":["all"],"op":"eval","trial":1.5,"visible":[1]}\n',
             "\n",
+            '{"op":"nope"}\n',
             _request_lines(["all"], 1, [2]),
         ]
     )
@@ -1174,4 +1163,5 @@ def test_serve_answers_a_binary_infile_as_it_answers_text():
     serve(oracle, io.StringIO(text), want)
     serve(oracle, io.BytesIO(text.encode()), got)
     assert got.getvalue() == want.getvalue()
-    assert len(want.getvalue().splitlines()) == 1 + 8
+    assert len(want.getvalue().splitlines()) == 1 + 9
+    assert '{"error":"unsupported request: {\\"op\\":\\"nope\\"}"}' in want.getvalue()

@@ -753,7 +753,8 @@ def random_tables(grouping, rng):
 
 
 @pytest.mark.parametrize("split_mode", ["uniform", "proportional"])
-@pytest.mark.parametrize("sizes", [[9, 11], [8, 1, 30, 12, 2], [40, 3, 129]])
+# [3, 5, 3, 1, 5, 1] repeats sizes in groups that are not next to each other
+@pytest.mark.parametrize("sizes", [[9, 11], [8, 1, 30, 12, 2], [40, 3, 129], [3, 5, 3, 1, 5, 1]])
 def test_combined_attribution_matches_the_row_loop(split_mode, sizes):
     rng = np.random.default_rng(sum(sizes))
     grouping = Grouping.from_sets(split(rng.permutation(sum(sizes)), sizes), sum(sizes))
@@ -775,8 +776,8 @@ def test_combined_attribution_matches_the_row_loop_on_random_groupings(sizes, se
 
 
 def test_combined_attribution_refuses_a_degenerate_table():
-    # the tables of one group size are normalized together, and a row with
-    # no positive mass is refused as normalize_nonneg refuses it alone
+    # each group's intra tables are normalized together, and a row with no
+    # positive mass is refused as normalize_nonneg refuses it alone
     rng = np.random.default_rng(7)
     grouping = Grouping.from_sets([(0, 1), (2, 3), (4,)], 5)
     schema, intra, group = random_tables(grouping, rng)
