@@ -30,7 +30,7 @@ from .analysis import (
     render_heatmap,
     write_matrix_csv,
 )
-from .errors import DataError, KpshapError, OracleError, _json_text, _write_bytes
+from .errors import DataError, KpshapError, OracleError, _discard_stdout, _json_text, _write_bytes
 from .gkr import (
     GkrConfig,
     apply_plan,
@@ -546,11 +546,12 @@ def main(argv=None) -> int:
         parser.error("--jobs must be >= 1")
     try:
         return globals()[ns.func](ns)
-    except OracleError as e:
-        print(f"error({e.code}): {e}", file=sys.stderr)
-        return 4
     except KpshapError as e:
         print(f"error({e.code}): {e}", file=sys.stderr)
+        return 4 if isinstance(e, OracleError) else 3
+    except BrokenPipeError as e:
+        _discard_stdout()
+        print(f"error(data): cannot write standard output: {e}", file=sys.stderr)
         return 3
 
 

@@ -14,6 +14,8 @@ import csv
 import io
 import json
 import operator
+import os
+import sys
 from pathlib import Path
 
 
@@ -76,6 +78,12 @@ def _write_bytes(path, data, what: str) -> None:
             f.write(data.encode("utf-8") if isinstance(data, str) else data)
     except OSError as e:
         raise DataError(f"cannot write {what} {path}: {e}") from e
+
+
+def _discard_stdout() -> None:
+    """Point standard output at the null device, so the flush at exit cannot fail again."""
+    with open(os.devnull, "wb") as devnull:
+        os.dup2(devnull.fileno(), sys.stdout.fileno())
 
 
 def _parse_json(text: str, where: str, error=DataError, code=None):

@@ -90,12 +90,8 @@ def read_ppm(path) -> np.ndarray:
 
 
 def _chunk(tag: bytes, payload: bytes) -> bytes:
-    return (
-        struct.pack(">I", len(payload))
-        + tag
-        + payload
-        + struct.pack(">I", zlib.crc32(tag + payload))
-    )
+    body = tag + payload
+    return struct.pack(">I", len(payload)) + body + struct.pack(">I", zlib.crc32(body))
 
 
 def write_png(path, image) -> None:
@@ -236,20 +232,17 @@ def read_png(path) -> np.ndarray:
     return _unfilter_wavefront(rows, channels)[:, :, :3].copy()
 
 
-def load_image(path) -> np.ndarray:
+def _is_png(path) -> bool:
+    """True for a .png path, False for .ppm, in any case; any other suffix is a DataError."""
     suffix = Path(path).suffix.lower()
-    if suffix == ".ppm":
-        return read_ppm(path)
-    if suffix == ".png":
-        return read_png(path)
-    raise DataError(f"unsupported image format {suffix!r} (use .ppm or .png)")
+    if suffix not in (".png", ".ppm"):
+        raise DataError(f"unsupported image format {suffix!r} (use .ppm or .png)")
+    return suffix == ".png"
+
+
+def load_image(path) -> np.ndarray:
+    return read_png(path) if _is_png(path) else read_ppm(path)
 
 
 def save_image(path, image) -> None:
-    suffix = Path(path).suffix.lower()
-    if suffix == ".ppm":
-        write_ppm(path, image)
-    elif suffix == ".png":
-        write_png(path, image)
-    else:
-        raise DataError(f"unsupported image format {suffix!r} (use .ppm or .png)")
+    (write_png if _is_png(path) else write_ppm)(path, image)

@@ -12,20 +12,17 @@ from __future__ import annotations
 import hashlib
 from pathlib import Path
 
-from .errors import DataError, _json_text, _write_bytes
+from .errors import _json_text, _read_bytes, _write_bytes
 
 TOOL_NAME = "kpshap"
 
 
 def sha256_file(path) -> str:
-    digest = hashlib.sha256()
-    try:
-        with open(path, "rb") as f:
-            for chunk in iter(lambda: f.read(1 << 16), b""):
-                digest.update(chunk)
-    except OSError as e:
-        raise DataError(f"cannot digest {path}: {e}") from e
-    return digest.hexdigest()
+    """sha256 hex digest of the whole file; a read failure is a DataError.
+
+    The file is read at once, which costs no memory the run did not spend
+    already: a run digests, one at a time, only files it reads or writes whole."""
+    return hashlib.sha256(_read_bytes(path, "file to digest")).hexdigest()
 
 
 def _plain(value):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from importlib import resources
+from pathlib import Path
 
 import numpy as np
 
@@ -120,9 +120,8 @@ def load_schema(source) -> tuple[KeypointSchema, Skeleton]:
 
 
 def default_schema() -> tuple[KeypointSchema, Skeleton]:
-    """The packaged 17-keypoint human schema."""
-    text = resources.files("kpshap").joinpath("schemas/coco17.json").read_text(encoding="utf-8")
-    return load_schema(text)
+    """The packaged 17-keypoint human schema, read from schemas/coco17.json beside this module."""
+    return load_schema(Path(__file__).with_name("schemas") / "coco17.json")
 
 
 def schema_digest(schema: KeypointSchema, skeleton: Skeleton) -> str:

@@ -373,6 +373,32 @@ def _kpshap(*argv):
     )
 
 
+def test_closed_stdout_exit_3(fixtures_dir):
+    # the reader of a serving child goes away after its hello: the reply to
+    # the next line cannot be written, which is one error line, not a
+    # BrokenPipeError traceback, and no second error from the exit flush
+    package_root = str(Path(kpshap.__file__).resolve().parent.parent)
+    pythonpath = os.pathsep.join([package_root, os.environ.get("PYTHONPATH", "")])
+    argv = ["oracle", "serve-synthetic", "--config", str(fixtures_dir / "synthetic17.json")]
+    with subprocess.Popen(
+        [sys.executable, "-m", "kpshap", *argv],
+        env={**os.environ, "PYTHONPATH": pythonpath},
+        stdin=subprocess.PIPE,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    ) as proc:
+        assert json.loads(proc.stdout.readline())["op"] == "hello"
+        proc.stdout.close()
+        proc.stdin.write(b'{"instances":["all"],"op":"eval","trial":0,"visible":[0,1,2]}\n')
+        proc.stdin.close()
+        err = proc.stderr.read().decode()
+        code = proc.wait(timeout=60)
+    assert code == 3, err
+    assert len(err.splitlines()) == 1, err
+    assert err.startswith("error(data): cannot write standard output: "), err
+    assert "Traceback" not in err and "Exception ignored" not in err
+
+
 # fixed case ids, so results can be compared by test name across versions
 @pytest.mark.parametrize(
     "flag", ["nan", "inf", "-1", "0"], ids=["nan-None", "inf-None", "-1-None", "0-None"]

@@ -213,8 +213,19 @@ def test_load_save_dispatch(tmp_path):
         path = tmp_path / name
         save_image(path, img)
         assert np.array_equal(load_image(path), img)
-    with pytest.raises(DataError):
+    for name in ("b.PPM", "b.PNG"):
+        path = tmp_path / name
+        save_image(path, img)
+        assert np.array_equal(load_image(path), img)
+    assert (tmp_path / "b.PNG").read_bytes() == (tmp_path / "a.png").read_bytes()
+    assert (tmp_path / "b.PPM").read_bytes() == (tmp_path / "a.ppm").read_bytes()
+    with pytest.raises(DataError, match="unsupported image format '.jpg'"):
         save_image(tmp_path / "a.jpg", img)
+    assert not (tmp_path / "a.jpg").exists()
+    jpg = tmp_path / "b.jpg"
+    jpg.write_bytes((tmp_path / "a.png").read_bytes())
+    with pytest.raises(DataError, match="unsupported image format '.jpg'"):
+        load_image(jpg)
 
 
 def _chunk(tag, payload):

@@ -10,10 +10,12 @@ from kpshap import (
     SchemaError,
     Skeleton,
     canonical_name,
+    default_schema,
     keypoint_connectivity,
     load_schema,
     schema_digest,
 )
+from kpshap import skeleton as skeleton_module
 
 EXPECTED_DEGREES = {
     "nose": 2,
@@ -146,3 +148,13 @@ def test_schema_digest_ignores_alias_spelling(schema, skeleton):
 def test_skeleton_validates_edge_indices():
     with pytest.raises(SchemaError):
         Skeleton(2, frozenset({frozenset((0, 5))}))
+
+
+def test_default_schema_is_read_beside_the_module(monkeypatch, tmp_path):
+    # the packaged schema is a file next to skeleton.py, read like any other
+    # schema file, so a missing one is a SchemaError, not a raw OSError
+    monkeypatch.setattr(skeleton_module, "__file__", str(tmp_path / "skeleton.py"))
+    with pytest.raises(SchemaError) as info:
+        default_schema()
+    assert info.value.code == "schema-io"
+    assert str(tmp_path / "schemas" / "coco17.json") in str(info.value)
