@@ -16,11 +16,17 @@ import numpy as np
 from .errors import DataError, _csv_rows, _csv_text, _float_cells, _write_bytes, _write_table
 
 
-def write_matrix_csv(path, labels, matrix) -> None:
+def _labeled_square(matrix, labels: list) -> np.ndarray:
+    """The matrix as float64; a DataError unless it is square with one row per label."""
     arr = np.asarray(matrix, dtype=np.float64)
-    labels = list(labels)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] != len(labels):
         raise DataError(f"matrix {arr.shape} does not match {len(labels)} labels")
+    return arr
+
+
+def write_matrix_csv(path, labels, matrix) -> None:
+    labels = list(labels)
+    arr = _labeled_square(matrix, labels)
     _write_table(path, ["keypoint"] + labels, zip(labels, arr), "matrix")
 
 
@@ -174,10 +180,8 @@ def render_heatmap(matrix, labels) -> str:
     document <desc>. Cell color interpolates from the data minimum to the
     data maximum (a constant matrix renders at the ramp top).
     """
-    arr = np.asarray(matrix, dtype=np.float64)
     labels = [str(x) for x in labels]
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] != len(labels):
-        raise DataError(f"matrix {arr.shape} does not match {len(labels)} labels")
+    arr = _labeled_square(matrix, labels)
     if not np.isfinite(arr).all():
         raise DataError("heatmap input must be finite")
     n = len(labels)

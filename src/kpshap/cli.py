@@ -30,7 +30,7 @@ from .analysis import (
     render_heatmap,
     write_matrix_csv,
 )
-from .errors import DataError, KpshapError, OracleError, _discard_stdout, _json_text, _write_bytes
+from .errors import DataError, KpshapError, OracleError, _json_text, _stdout_writes, _write_bytes
 from .gkr import (
     GkrConfig,
     apply_plan,
@@ -169,6 +169,17 @@ def _claim_outputs(ns, inputs, outputs, schema_pair=None):
     return emit
 
 
+def _write_out(ns, inputs, text, what, schema_pair=None):
+    """Write ``text`` to --out and its run manifest, or without --out to
+    standard output."""
+    if ns.out:
+        emit = _claim_outputs(ns, inputs, [ns.out], schema_pair)
+        _write_bytes(ns.out, text, what)
+        emit()
+    else:
+        sys.stdout.write(text)
+
+
 def _warned(fn, *args):
     """fn(*args), with each warning it gives printed on stderr as one
     ``warning: <message>`` line."""
@@ -241,9 +252,7 @@ def cmd_exact(ns) -> int:
         print(f"{name} {phi:.10g}")
     print(f"efficiency_gap {table.efficiency_gap():.3g}")
     if ns.out:
-        emit = _claim_outputs(ns, [ns.game], [ns.out])
-        _write_bytes(ns.out, _json_text(table.to_json_dict()), "result")
-        emit()
+        _write_out(ns, [ns.game], _json_text(table.to_json_dict()), "result")
     return 0
 
 
@@ -285,13 +294,7 @@ def cmd_masks(ns) -> int:
             f"{i},{cx:.10g},{cy:.10g},{spec.width},{spec.height},"
             f"{x0},{y0},{x1},{y1},noise"
         )
-    text = "\n".join(lines) + "\n"
-    if ns.out:
-        emit = _claim_outputs(ns, [], [ns.out])
-        _write_bytes(ns.out, text, "masks")
-        emit()
-    else:
-        sys.stdout.write(text)
+    _write_out(ns, [], "\n".join(lines) + "\n", "masks")
     return 0
 
 
@@ -362,13 +365,7 @@ def cmd_gkr_apply(ns) -> int:
 def cmd_gkr_stats(ns) -> int:
     schema, skeleton = _load_schema_arg(ns.schema)
     stats = occlusion_stats(parse_annotations(ns.annotations, schema))
-    text = _json_text(stats)
-    if ns.out:
-        emit = _claim_outputs(ns, [ns.annotations], [ns.out], (schema, skeleton))
-        _write_bytes(ns.out, text, "stats")
-        emit()
-    else:
-        sys.stdout.write(text)
+    _write_out(ns, [ns.annotations], _json_text(stats), "stats", (schema, skeleton))
     return 0
 
 
@@ -545,14 +542,11 @@ def main(argv=None) -> int:
     if getattr(ns, "jobs", 1) < 1:
         parser.error("--jobs must be >= 1")
     try:
-        return globals()[ns.func](ns)
+        with _stdout_writes():
+            return globals()[ns.func](ns)
     except KpshapError as e:
         print(f"error({e.code}): {e}", file=sys.stderr)
         return 4 if isinstance(e, OracleError) else 3
-    except BrokenPipeError as e:
-        _discard_stdout()
-        print(f"error(data): cannot write standard output: {e}", file=sys.stderr)
-        return 3
 
 
 if __name__ == "__main__":

@@ -4,12 +4,14 @@ Each error carries a short machine-readable ``code`` (kebab-case) so the CLI
 can print ``error(<code>): <detail>`` and map the class to an exit status.
 Every file is read by ``_read_bytes`` and written by ``_write_bytes`` here
 too, text as UTF-8 with line endings kept, so read, decode, parse and write
-failures map onto the taxonomy the same way in every reader and writer. The
-numeric CSV tables share one row parser and one writer.
+failures map onto the taxonomy the same way in every reader and writer,
+standard output (``_stdout_writes``) included. The numeric CSV tables share
+one row parser and one writer.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
@@ -80,10 +82,21 @@ def _write_bytes(path, data, what: str) -> None:
         raise DataError(f"cannot write {what} {path}: {e}") from e
 
 
-def _discard_stdout() -> None:
-    """Point standard output at the null device, so the flush at exit cannot fail again."""
-    with open(os.devnull, "wb") as devnull:
-        os.dup2(devnull.fileno(), sys.stdout.fileno())
+@contextlib.contextmanager
+def _stdout_writes():
+    """Flush standard output after the block. An OSError in the block or the
+    flush, a closed pipe or a full disk, is a DataError: every file the block
+    opens maps its own, so this one is standard output's. Standard output
+    then points at the null device, so that the flush at exit cannot fail
+    again."""
+    try:
+        yield
+        if sys.stdout is not None:  # None when the process started without one
+            sys.stdout.flush()
+    except OSError as e:
+        with open(os.devnull, "wb") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        raise DataError(f"cannot write standard output: {e}") from e
 
 
 def _parse_json(text: str, where: str, error=DataError, code=None):

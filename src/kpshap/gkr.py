@@ -11,7 +11,7 @@ touches only the planned rectangles, every other pixel byte stays identical.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -173,22 +173,7 @@ class ErasePlan:
     rects: tuple[EraseRect, ...]
 
     def to_json_dict(self) -> dict:
-        return {
-            "image_id": self.image_id,
-            "annotation_id": self.annotation_id,
-            "file_name": self.file_name,
-            "width": self.width,
-            "height": self.height,
-            "rects": [
-                {
-                    "group": r.group,
-                    "keypoint": r.keypoint,
-                    "rect": list(r.rect),
-                    "fill_seed": r.fill_seed,
-                }
-                for r in self.rects
-            ],
-        }
+        return asdict(self)
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "ErasePlan":

@@ -19,52 +19,21 @@ Three backends share the interface:
 - external: a child process speaking line-delimited JSON over stdin/stdout,
   one request per coalition, a whole batch pipelined.
 
-Wire protocol (external backend). The child prints a handshake first:
+The external backend's line-JSON wire protocol (the hello, the request
+and reply forms, the f64 layout, pipelining) is specified once, in README
+section "Wire protocol". Beyond the spec, this module:
 
-    {"op": "hello", "n": 17, "names": ["nose", ...], "replies": ["f64"]}
-
-then answers one request per line:
-
-    {"op": "eval", "instances": ["all"], "visible": [0, 1, 5], "trial": 0}
-    -> {"values": [0.71, ...]}         (n floats in [0, 1])
-    -> {"error": "message"}            (failure)
-
-``instances`` is ["all"] or a list of instance id strings; "all" is reserved.
-``trial`` (0 when missing) and the ``visible`` entries are JSON integers;
-``serve`` answers any other request with an error, never a coerced score.
-ExternalOracle writes each line as compact JSON with sorted keys, and every
-line of a batch shares its head, the text up to '"visible":['. ``serve``
-reads such a line by that head, parsed as JSON once and kept, and its
-indices from a table, with no JSON decode; it reads a line of any other
-spelling as JSON, and either way gives the same reply.
-A client may send every request of a batch before it reads any reply, and
-ExternalOracle does. A server must therefore keep reading requests while it
-answers, and answer them in order, one reply line per request. It may read
-ahead and answer the requests it has buffered together, as ``serve`` does:
-one eval_many per run of buffered requests with the same instances,
-trial and reply form, and one flush per pass.
-The client captures the child's stderr and quotes its tail, with the exit
-code, when the child fails.
-
-The hello's optional ``replies`` lists the reply forms the child offers
-besides ``values``, which stays the default. ``serve`` offers "f64": a
-request with ``"reply": "f64"`` gets {"f64": "<16 n hex digits>"}, the
-row's n little-endian IEEE-754 binary64 values, 8 bytes each, in hex, so
-``np.frombuffer(bytes.fromhex(s), "<f8")`` reads it back bit for bit. It
-spares both ends the shortest round-trip decimal printing and parsing of
-every float. ExternalOracle asks for it only when the hello lists it, and
-reads a batch of such lines, each in that minimal form, with one
-bytes.fromhex of the joined digits and no JSON decode; any other batch it
-reads a line at a time. ``serve`` answers a request for any other reply
-form than "values" or "f64" with an error.
-
-A reply line beyond its batch ends the child: ExternalOracle refuses bytes
-after a batch's last reply line and bytes already readable before a batch's
-first request is written, which would be read as the next request's reply.
-
-The client's timeout bounds each wait for progress on the pipes (request
-bytes written or reply bytes read), not a whole batch; it must be finite
-and > 0.
+- ``serve`` reads a request in the compact form ExternalOracle writes (sorted
+  keys, no spaces) by its head, the text up to '"visible":[': the head is
+  parsed as JSON once per batch and kept, and the indices after it are
+  looked up in a table, with no JSON decode. A line of any other spelling
+  is read as JSON and gets the same reply.
+- ExternalOracle reads a batch of replies that are all the minimal
+  {"f64":"<16 n hex digits>"} with one bytes.fromhex of the joined digits,
+  and any other batch a line at a time.
+- ExternalOracle refuses a stray reply, bytes after a batch's last reply
+  line or readable before its first request is written, and stops the
+  child, so that no reply is read as another request's.
 """
 
 from __future__ import annotations
@@ -184,6 +153,12 @@ def _check_trial(trial) -> int:
         except TypeError:
             pass
     raise DataError(f"trial {trial!r:.80} is not an integer")
+
+
+def _check_trials(trials: int) -> None:
+    """Refuse a trial count below one."""
+    if trials < 1:
+        raise DataError(f"trial count must be >= 1, got {trials}")
 
 
 def _normalize_instances(instances):
@@ -655,6 +630,11 @@ class ExternalOracle(CoalitionValueOracle):
             pipe.close()
 
 
+# the key that ends the head of a compact request line: _request_lines
+# writes it, _compact_request looks for it
+_VISIBLE = '"visible":['
+
+
 @functools.cache
 def _byte_indices(p: int) -> tuple[str, ...]:
     """For each byte value b, the comma-joined keypoint indices 8 p + i of
@@ -670,8 +650,8 @@ def _request_lines(ids: list[str], trial: int, masks: list[int], f64: bool = Fal
     batch, then each mask's keypoint indices, looked up a byte at a time;
     a byte with no bit set adds nothing."""
     reply = '"reply":"f64",' if f64 else ""
-    head = f'{{"instances":{_json_line(ids)},"op":"eval",{reply}"trial":{_json_line(trial)}'
-    head += ',"visible":['
+    head = f'{{"instances":{_json_line(ids)},"op":"eval",{reply}"trial":{_json_line(trial)},'
+    head += _VISIBLE
     width = (max(masks, default=0).bit_length() + 7) // 8
     tables = [_byte_indices(p) for p in range(width)]
     return "".join(
@@ -766,9 +746,6 @@ def _parse_request(raw, n: int) -> tuple:
         raise DataError(f"keypoint index {bad} out of range for n={n}")
     instances = ALL_INSTANCES if inst == [ALL_INSTANCES] else tuple(inst)
     return instances, trial, reply, mask
-
-
-_VISIBLE = '"visible":['
 
 
 @functools.cache

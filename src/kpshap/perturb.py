@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, _csv_rows, _float_cells, _write_table
-from .oracle import CoalitionValueOracle
+from .oracle import CoalitionValueOracle, _check_trials
 from .rng import generator, mix64
 from .skeleton import KeypointSchema, canonical_name
 
@@ -148,8 +148,7 @@ def delta_perf_matrix(
     the oracle's counter-based noise is reproducible and independent of
     evaluation order.
     """
-    if m < 1:
-        raise DataError(f"trial count must be >= 1, got {m}")
+    _check_trials(m)
     n = oracle.schema.n
     full = (1 << n) - 1
     masks = [full] + [full & ~(1 << j) for j in range(n)]

@@ -29,7 +29,12 @@ import numpy as np
 
 from .errors import DataError
 from .grouping import Grouping
-from .oracle import CoalitionValueOracle, _read_coalition_table, _write_coalition_table
+from .oracle import (
+    CoalitionValueOracle,
+    _check_trials,
+    _read_coalition_table,
+    _write_coalition_table,
+)
 from .skeleton import KeypointSchema
 
 MAX_PLAYERS = 20
@@ -279,11 +284,6 @@ def _normalize_rows(rows) -> np.ndarray:
     if np.any(total <= 0.0):
         raise DataError("no positive mass to normalize", code="degenerate-attribution")
     return arr / total[:, None]
-
-
-def _check_trials(trials: int) -> None:
-    if trials < 1:
-        raise DataError(f"trial count must be >= 1, got {trials}")
 
 
 def query_count(grouping: Grouping, trials: int = 1) -> QueryBudget:

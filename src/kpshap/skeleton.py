@@ -74,11 +74,7 @@ class Skeleton:
                     raise SchemaError(f"edge endpoint {v} outside schema", code="unknown-name")
 
     def degree(self) -> np.ndarray:
-        deg = np.zeros(self.n, dtype=np.int64)
-        for e in self.edges:
-            for v in e:
-                deg[v] += 1
-        return deg
+        return self.adjacency().sum(axis=1).astype(np.int64)
 
     def adjacency(self) -> np.ndarray:
         adj = np.zeros((self.n, self.n), dtype=np.float64)

@@ -359,14 +359,19 @@ def test_missing_coalition_exit_4(capsys, fixtures_dir, tmp_path):
     assert err.startswith("error(")
 
 
+def _child_env():
+    """This process's environment, with the imported kpshap first on PYTHONPATH."""
+    package_root = str(Path(kpshap.__file__).resolve().parent.parent)
+    pythonpath = os.pathsep.join([package_root, os.environ.get("PYTHONPATH", "")])
+    return {**os.environ, "PYTHONPATH": pythonpath}
+
+
 def _kpshap(*argv):
     """Run the CLI in a fresh process; returns the CompletedProcess with
     stderr as text."""
-    package_root = str(Path(kpshap.__file__).resolve().parent.parent)
-    pythonpath = os.pathsep.join([package_root, os.environ.get("PYTHONPATH", "")])
     return subprocess.run(
         [sys.executable, "-m", "kpshap", *argv],
-        env={**os.environ, "PYTHONPATH": pythonpath},
+        env=_child_env(),
         capture_output=True,
         text=True,
         timeout=60,
@@ -377,12 +382,10 @@ def test_closed_stdout_exit_3(fixtures_dir):
     # the reader of a serving child goes away after its hello: the reply to
     # the next line cannot be written, which is one error line, not a
     # BrokenPipeError traceback, and no second error from the exit flush
-    package_root = str(Path(kpshap.__file__).resolve().parent.parent)
-    pythonpath = os.pathsep.join([package_root, os.environ.get("PYTHONPATH", "")])
     argv = ["oracle", "serve-synthetic", "--config", str(fixtures_dir / "synthetic17.json")]
     with subprocess.Popen(
         [sys.executable, "-m", "kpshap", *argv],
-        env={**os.environ, "PYTHONPATH": pythonpath},
+        env=_child_env(),
         stdin=subprocess.PIPE,
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
@@ -397,6 +400,39 @@ def test_closed_stdout_exit_3(fixtures_dir):
     assert len(err.splitlines()) == 1, err
     assert err.startswith("error(data): cannot write standard output: "), err
     assert "Traceback" not in err and "Exception ignored" not in err
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", [None, "1"], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("command", ["cost", "masks", "gkr stats", "serve-synthetic"])
+def test_full_stdout_exit_3(fixtures_dir, tmp_path, command, unbuffered):
+    # a full disk behind standard output is one error line and exit 3,
+    # whether print fails at once (unbuffered) or the flush after the
+    # handler does; never a traceback or an error from the exit flush
+    argv = {
+        "cost": ["cost", "--n", "17", "--groups", "5,3,3,3,3"],
+        "masks": ["masks", "--keypoint", "5,5", "--width", "16", "--height", "12"],
+        "gkr stats": ["gkr", "stats", "--annotations", _persons_json(tmp_path / "persons.json")],
+        "serve-synthetic": ["oracle", "serve-synthetic", "--config"]
+        + [str(fixtures_dir / "synthetic17.json")],
+    }[command]
+    env = _child_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = unbuffered
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "kpshap", *argv],
+            env=env,
+            stdin=subprocess.DEVNULL,
+            stdout=full,
+            stderr=subprocess.PIPE,
+            text=True,
+            timeout=60,
+        )
+    assert proc.returncode == 3, proc.stderr
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
+    assert proc.stderr.startswith("error(data): cannot write standard output: "), proc.stderr
 
 
 # fixed case ids, so results can be compared by test name across versions
@@ -530,6 +566,31 @@ def test_shapley_report_is_golden(capsys, fixtures_dir, tmp_path, split, sha256)
     )
     assert code == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
+
+
+def test_gkr_plan_bytes_are_golden(capsys, fixtures_dir, tmp_path):
+    # pins the plan lines of a fixed annotations document and seed across
+    # versions: int and str image ids, every visibility flag, keep-prob 0.5
+    schema, _ = default_schema()
+    doc = {"images": [], "annotations": []}
+    for i, image_id in enumerate([0, "img-1", 2]):
+        doc["images"].append(
+            {"id": image_id, "width": 96, "height": 72, "file_name": f"im{i}.png"}
+        )
+        for k in range(2):
+            kps = []
+            for j in range(schema.n):
+                kps += [4.0 + 5.0 * j + k, 6.0 + (j % 5) * 11.0 + i, (i + j + k) % 3]
+            doc["annotations"].append({"id": 10 * i + k, "image_id": image_id, "keypoints": kps})
+    ann = tmp_path / "persons.json"
+    ann.write_text(json.dumps(doc))
+    out = tmp_path / "plans.jsonl"
+    argv = ["gkr", "plan", "--annotations", str(ann), "--groups"]
+    argv += [str(fixtures_dir / "expected_groups.json"), "--seed", "11", "--out", str(out)]
+    code, stdout, _ = run(capsys, *argv)
+    assert code == 0, stdout
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == "de8b5ca9c138aced1e515042f03e8b95d715a8c071fd95cb5bd475876f9352d2"
 
 
 def test_exact_glove_stdout(capsys, fixtures_dir):

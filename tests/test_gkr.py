@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -354,3 +355,18 @@ def test_bucket_is_lower_edge(ratio):
     edge = bucket_for(ratio)
     assert edge in (0.0, 0.25, 0.5, 0.75)
     assert edge <= ratio < edge + 0.25 or (edge == 0.75 and ratio == 1.0)
+
+
+def test_write_plans_bytes_are_golden(tmp_path, schema, expected_grouping):
+    # pins the plan line format across versions: int, str and float image ids,
+    # plans with and without rectangles
+    person = person_all_visible(schema)
+    plans = [
+        plan_gkr(person, expected_grouping, cfg_for(expected_grouping, keep=0.0, seed=3)),
+        ErasePlan("img-7", 12, "sub/b.png", 64, 48, (EraseRect(2, 9, (1, 2, 30, 40), 77),)),
+        ErasePlan(4.5, 0, "c.ppm", 8, 8, ()),
+    ]
+    path = tmp_path / "plans.jsonl"
+    write_plans(path, plans)
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == "29aa30bc2a7dd56dc1ada62c8ff703c63903f0268f4d125891b8c9819792bb70"

@@ -4,7 +4,7 @@ Every read goes through ``errors._read_bytes`` and every write through
 ``errors._write_bytes``, so the encoding rule and the mapping of I/O failures
 to DataError live in one place. No module is exempt: manifest digests and the
 built-in schema are read by ``_read_bytes`` too, and the null device that
-replaces a closed standard output is opened by ``errors._discard_stdout``.
+replaces a failed standard output is opened by ``errors._stdout_writes``.
 This test parses the package and fails on a file-opening call anywhere else,
 or on an OSError handler outside the few that guard pipes and directories.
 """
